@@ -5,15 +5,16 @@ ownership model and call graph that single-file lint cannot build):
 
 ``SHARD001–003`` — shard-ownership dataflow.  A *threaded worker* is a
 class owning a ``threading.Thread`` attribute (the per-shard event
-loops); a *front* class holds such workers.  Shard-owned mutable state
+loops), or a base class only workers inherit (what a backend-free front
+types its workers as); a *front* class holds such workers.  Shard-owned
+mutable state
 (ServerCore, GroupRuntime/StateLog behind it, WAL handles, interpreter,
 containers) must only be reached from its own loop; the blessed
 cross-thread surface is the mailbox (``post``), lifecycle methods, and
-the ``call_front``/``run_front`` bridges.  This family supersedes the
-naive PERF002 attribute scan.  ``SHARD004`` extends it for the elastic
-topology: GroupRuntime state may only be touched under the owning
-worker's lease, because live migration can move a group between shards
-at any item boundary.
+the ``call_front``/``run_front`` bridges.  ``SHARD004`` extends it for
+the elastic topology: GroupRuntime state may only be touched under the
+owning worker's lease, because live migration can move a group between
+shards at any item boundary.
 
 ``BLOCK001–002`` — blocking-call reachability.  ``time.sleep``, fsync,
 sync file/socket I/O and ``subprocess`` must not run on an event loop:
@@ -134,7 +135,7 @@ SANCTIONED_WORKER_METHODS = frozenset({"post", "start", "stop"})
 
 #: Bridge calls whose closure arguments execute on the *front* loop, so
 #: worker code inside them may touch front state (SHARD003 skips them).
-FRONT_BRIDGES = frozenset({"call_front", "run_front", "_relay", "_to_front"})
+FRONT_BRIDGES = frozenset({"call_front", "run_front", "_relay"})
 
 #: Types safe to read across threads: immutables, plus the two
 #: threading primitives whose entire point is cross-thread use.
@@ -220,8 +221,17 @@ def _short(qualname: str) -> str:
 # --------------------------------------------------------------------------
 
 def _threaded_workers(graph: ProgramGraph) -> set[str]:
-    """Classes that own a ``threading.Thread`` attribute (per their mro)."""
-    workers: set[str] = set()
+    """Classes that own a ``threading.Thread`` attribute (per their mro),
+    plus the base classes a reference to one may be typed as.
+
+    A front that holds its workers as ``list[Base]`` reaches live
+    threaded state through ``Base``-typed expressions just the same, so
+    a program base of a threaded worker counts as a worker type too —
+    unless a front (a class holding workers) also descends from it,
+    which makes it plumbing shared by both sides (``EffectBackend``),
+    not a worker type.
+    """
+    threaded: set[str] = set()
     for qual in graph.classes:
         for base in graph.mro(qual):
             info = graph.classes.get(base)
@@ -229,9 +239,17 @@ def _threaded_workers(graph: ProgramGraph) -> set[str]:
                 continue
             if any(ref.base == "threading.Thread"
                    for ref in info.attr_types.values()):
-                workers.add(qual)
+                threaded.add(qual)
                 break
-    return workers
+    bases = {
+        base for worker in threaded for base in graph.mro(worker)
+        if base in graph.classes
+    } - threaded
+    fronts = _front_classes(graph, threaded | bases)
+    return threaded | {
+        base for base in bases
+        if not any(sub in fronts for sub in graph.subclasses(base))
+    }
 
 
 def _worker_type_of(ref: TypeRef | None, workers: set[str]) -> str | None:
@@ -324,7 +342,7 @@ def _check_shard002(graph: ProgramGraph, workers: set[str]) -> list[Finding]:
                 continue
             func = node.func
             if not (isinstance(func, ast.Attribute)
-                    and func.attr in ("post", "_post", "_post_item")):
+                    and func.attr in ("post", "_post")):
                 continue
             for arg in _post_args(node):
                 if not (isinstance(arg, ast.Attribute)
@@ -762,16 +780,9 @@ _LEASE_SANCTIONED_MODULES = ("repro.core", "repro.runtime.migration")
 
 
 def _lease_side_classes(graph: ProgramGraph, workers: set[str]) -> set[str]:
-    """Worker classes plus every base they inherit the item protocol
-    from (ShardWorkerBase and the sim worker share one lease side)."""
-    owned = set(workers)
-    for worker in sorted(workers):
-        owned.update(graph.mro(worker))
-    out = set(owned)
-    for qual in graph.classes:
-        if any(base in owned for base in graph.mro(qual)):
-            out.add(qual)
-    return out
+    """Worker classes plus everything that inherits the item protocol
+    from them (the sim worker shares ShardWorkerBase's lease side)."""
+    return {sub for worker in workers for sub in graph.subclasses(worker)}
 
 
 def _check_shard004(graph: ProgramGraph, workers: set[str]) -> list[Finding]:

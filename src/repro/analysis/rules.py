@@ -11,9 +11,6 @@ NET001    blocking socket/file I/O reachable from sim-driven callbacks
 LOCK001   mutation of shared-state/lock internals outside their modules
 PERF001   direct codec encode/size calls on fan-out paths (bypass the
           frame cache, re-serializing per receiver)
-PERF002   direct ``.runtimes`` access outside the owning cores/routers
-          (bypasses group-to-shard routing; on a sharded server that is
-          a cross-thread read of another shard's state)
 PERF003   unbounded send-queue growth outside the flow-controlled
           transport layer (unbounded ``asyncio.Queue()`` or appends to
           ad-hoc outboxes; a slow consumer then buffers without limit)
@@ -102,14 +99,6 @@ RULE_DOCS: dict[str, tuple[Severity, str, str]] = {
         "go through repro.wire.frames (encoded_frame / payload_of / "
         "frame_size) so each message encodes exactly once",
     ),
-    "PERF002": (
-        Severity.ERROR,
-        "direct .runtimes access outside the owning cores/routers "
-        "bypasses group-to-shard routing (cross-shard state touch)",
-        "resolve groups through the owning ServerCore's handlers or the "
-        "shard router (ShardSessions/ShardedHost); never reach into "
-        "another core's .runtimes",
-    ),
     "PERF003": (
         Severity.ERROR,
         "unbounded send-queue growth outside the flow-controlled "
@@ -178,16 +167,6 @@ DEFAULT_EXCLUDES: dict[str, tuple[str, ...]] = {
     # PERF001 is include-scoped (see _PERF_FANOUT_PREFIXES): it only
     # examines the fan-out-reachable modules, so nothing to exclude.
     "PERF001": (),
-    # The modules that legitimately own or route over ``.runtimes``:
-    # the flat core and its GroupsView facade, the replicated core, and
-    # the two shard routers (which seed pins from recovered stores).
-    "PERF002": (
-        "repro.core.server",
-        "repro.core.group_runtime",
-        "repro.replication.node",
-        "repro.runtime.shard",
-        "repro.sim.shard",
-    ),
     # PERF003 is include-scoped (see _OUTBOX_SCOPE_PREFIXES): it only
     # examines the host/send layers.  The client's inbound event queue
     # is drained by the application it belongs to (consumer-paced, not
@@ -514,29 +493,6 @@ def _check_fanout_encode(info: ModuleInfo) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# PERF002: direct .runtimes access outside the owning cores/routers
-# --------------------------------------------------------------------------
-
-def _check_runtimes_access(info: ModuleInfo) -> Iterator[Finding]:
-    """Flag any ``<expr>.runtimes`` attribute access.
-
-    ``ServerCore.runtimes`` is the per-group service registry; on a
-    sharded server each shard core's registry lives on that shard's
-    event loop.  Reaching into it from anywhere but the owning core (or
-    the routers that seed placement from it) bypasses group-to-shard
-    routing — on the asyncio runtime that is an unsynchronized
-    cross-thread read.  Exclude-scoped: the owning modules are listed in
-    ``DEFAULT_EXCLUDES["PERF002"]``.
-    """
-    for node in ast.walk(info.tree):
-        if isinstance(node, ast.Attribute) and node.attr == "runtimes":
-            yield _finding(
-                info, "PERF002", node,
-                "direct .runtimes access bypasses group-to-shard routing",
-            )
-
-
-# --------------------------------------------------------------------------
 # PERF003: unbounded send queues outside the flow-controlled transport
 # --------------------------------------------------------------------------
 
@@ -727,8 +683,6 @@ def check_module(info: ModuleInfo, rule_ids: list[str]) -> list[Finding]:
             findings.extend(_check_guarded_mutation(info))
         elif rule_id == "PERF001":
             findings.extend(_check_fanout_encode(info))
-        elif rule_id == "PERF002":
-            findings.extend(_check_runtimes_access(info))
         elif rule_id == "PERF003":
             findings.extend(_check_unbounded_outbox(info))
         elif rule_id == "PERF004":

@@ -20,7 +20,7 @@ from repro.core.locks import LockTable
 from repro.core.log import StateLog
 from repro.core.ordering import Sequencer
 from repro.core.state import SharedState
-from repro.wire.messages import MemberInfo, MemberRole, ObjectState
+from repro.wire.messages import GroupInfo, MemberInfo, MemberRole, ObjectState
 
 __all__ = ["Member", "Group"]
 
@@ -82,6 +82,10 @@ class Group:
 
     def member_infos(self) -> tuple[MemberInfo, ...]:
         return tuple(m.info() for m in self._members.values())
+
+    def info(self) -> GroupInfo:
+        """This group's ``ListGroups`` entry."""
+        return GroupInfo(self.name, self.persistent, len(self), self.log.next_seqno)
 
     def add_member(
         self,

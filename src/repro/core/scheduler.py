@@ -78,7 +78,7 @@ __all__ = [
 def stable_lane(key: str, lanes: int) -> int:
     """Deterministic lane for *key* — stable across processes and runs.
 
-    SHA-1 based like :class:`~repro.runtime.shard.ShardRouter`'s ring
+    SHA-1 based like :class:`~repro.runtime.sharding.ShardRouter`'s ring
     (``hash()`` varies per process under ``PYTHONHASHSEED``), so the sim
     mirror assigns the same lanes every run and traces stay identical.
     """

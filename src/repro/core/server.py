@@ -39,10 +39,8 @@ from repro.core.errors import (
     StaleStateError,
 )
 from repro.core.events import (
-    CloseConnection,
     CreateGroupStorage,
     Effect,
-    ProtocolCore,
     PurgeGroupStorage,
     StartTimer,
 )
@@ -53,7 +51,7 @@ from repro.core.interpreter import DispatchStats
 from repro.core.locks import LockGrant
 from repro.core.reduction import NeverReduce, ReductionPolicy
 from repro.core.scheduler import CommandScheduler
-from repro.core.session import AllowAll, GroupAction, SessionManager
+from repro.core.session import AllowAll, GroupAction, SessionCore, SessionManager
 from repro.core.transfer import OutgoingTransfer, TransferConfig, chunk_marker
 from repro.storage.store import RecoveredGroup
 from repro.wire import codec, frames
@@ -67,14 +65,11 @@ from repro.wire.messages import (
     DeleteGroupRequest,
     Delivery,
     DeliveryMode,
-    ErrorReply,
     GetMembershipRequest,
     GroupDeletedNotice,
-    GroupInfo,
     GroupListReply,
     GroupMeta,
     Hello,
-    HelloReply,
     JoinGroupRequest,
     JoinReply,
     LeaveGroupRequest,
@@ -84,9 +79,7 @@ from repro.wire.messages import (
     MemberRole,
     MembershipNotice,
     Message,
-    PingReply,
     PingRequest,
-    PROTOCOL_VERSION,
     ReduceLogRequest,
     ReleaseLockRequest,
     StateSnapshot,
@@ -148,7 +141,7 @@ class ServerConfig:
     transfer: TransferConfig = field(default_factory=TransferConfig)
 
 
-class ServerCore(ProtocolCore):
+class ServerCore(SessionCore):
     """Sans-io protocol core of one Corona server."""
 
     def __init__(
@@ -157,15 +150,11 @@ class ServerCore(ProtocolCore):
         clock: Clock,
         recovered: dict[str, RecoveredGroup] | None = None,
     ) -> None:
-        super().__init__()
-        self.config = config
-        self.clock = clock
+        super().__init__(config, clock)
         #: The per-group service objects, keyed by group name.
         self.runtimes: dict[GroupId, GroupRuntime] = {}
         #: Compatibility mapping ``GroupId -> Group`` over ``runtimes``.
         self.groups = GroupsView(self)
-        self._conn_client: dict[ConnId, ClientId] = {}
-        self._client_conn: dict[ClientId, ConnId] = {}
         self._client_groups: dict[ClientId, set[GroupId]] = {}
         #: Observer (trace validation) notified after each state-log
         #: reduction: ``fn(group_name, fold_seqno)``.
@@ -225,7 +214,7 @@ class ServerCore(ProtocolCore):
         return self._runtime_named(name).group
 
     # ------------------------------------------------------------------
-    # live migration (repro.runtime.shard drives these)
+    # live migration (repro.runtime.sharding drives these)
     # ------------------------------------------------------------------
 
     def detach_group(self, name: GroupId) -> GroupRuntime | None:
@@ -372,11 +361,9 @@ class ServerCore(ProtocolCore):
         if self.scheduler is not None and self.scheduler.pending:
             # membership changes are whole-state barriers
             self.scheduler.flush()
-        client = self._conn_client.pop(conn, None)
+        client = self._forget_conn(conn)
         if client is None:
             return
-        if self._client_conn.get(client) == conn:
-            del self._client_conn[client]
         for group_name in sorted(self._client_groups.pop(client, set())):
             runtime = self.runtimes.get(group_name)
             if runtime is not None and runtime.group.is_member(client):
@@ -389,40 +376,6 @@ class ServerCore(ProtocolCore):
                     f"{_TRANSFER_TTL_PREFIX}{session.transfer.transfer_id}",
                     self.config.transfer.resume_ttl,
                 ))
-
-    # ------------------------------------------------------------------
-    # handshake
-    # ------------------------------------------------------------------
-
-    def _on_hello(self, conn: ConnId, msg: Hello) -> None:
-        if msg.protocol_version != PROTOCOL_VERSION:
-            self._reply_error(conn, 0, ProtocolError(
-                f"protocol version {msg.protocol_version} not supported "
-                f"(server speaks {PROTOCOL_VERSION})"
-            ))
-            self.emit(CloseConnection(conn))
-            return
-        if not self.config.authenticator.authenticate(msg.client_id, msg.token):
-            self._reply_error(conn, 0, NotAuthorizedError(
-                f"authentication failed for {msg.client_id!r}"
-            ))
-            self.emit(CloseConnection(conn))
-            return
-        stale = self._client_conn.get(msg.client_id)
-        if stale is not None and stale != conn:
-            # Reconnection: the old connection is dead weight; drop it.
-            self._conn_client.pop(stale, None)
-            self.emit(CloseConnection(stale))
-        self._conn_client[conn] = msg.client_id
-        self._client_conn[msg.client_id] = conn
-        self._client_groups.setdefault(msg.client_id, set())
-        self.send(conn, HelloReply(server_id=self.config.server_id))
-
-    def _client_of(self, conn: ConnId) -> ClientId:
-        client = self._conn_client.get(conn)
-        if client is None:
-            raise ProtocolError("request before Hello handshake")
-        return client
 
     # ------------------------------------------------------------------
     # group management
@@ -519,10 +472,7 @@ class ServerCore(ProtocolCore):
 
     def _on_list_groups(self, conn: ConnId, msg: ListGroupsRequest) -> None:
         self._client_of(conn)
-        infos = tuple(
-            GroupInfo(g.name, g.persistent, len(g), g.log.next_seqno)
-            for g in self.groups.values()
-        )
+        infos = tuple(g.info() for g in self.groups.values())
         self.send(conn, GroupListReply(msg.request_id, infos))
 
     # ------------------------------------------------------------------
@@ -715,18 +665,11 @@ class ServerCore(ProtocolCore):
     # misc
     # ------------------------------------------------------------------
 
-    def _on_ping(self, conn: ConnId, msg: PingRequest) -> None:
-        self._client_of(conn)
-        self.send(conn, PingReply(msg.request_id, self.clock.now()))
-
     def _authorize(self, client: ClientId, action: GroupAction, group: GroupId) -> None:
         if not self.config.session_manager.authorize(client, action, group):
             raise NotAuthorizedError(
                 f"{client!r} may not {action.value} {group!r}"
             )
-
-    def _reply_error(self, conn: ConnId, request_id: int, err: CoronaError) -> None:
-        self.send(conn, ErrorReply(request_id, err.code, str(err)))
 
     @property
     def _persists(self) -> bool:

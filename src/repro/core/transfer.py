@@ -89,7 +89,7 @@ class TransferConfig:
     """The chunked state-transfer policy knobs (normative: ``docs/protocol.md``).
 
     Every field name here is part of the documented contract — a CI check
-    (``tools/check_transfer_docs.py``) fails if ``docs/protocol.md`` stops
+    (``tools/check_docs.py transfer``) fails if ``docs/protocol.md`` stops
     mentioning one of them.
     """
 

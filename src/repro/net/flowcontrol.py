@@ -84,7 +84,7 @@ class FlowControlConfig:
     """The flow-control policy knobs (normative: ``docs/flow-control.md``).
 
     Every field name here is part of the documented contract — a CI check
-    (``tools/check_flow_docs.py``) fails if ``docs/flow-control.md`` stops
+    (``tools/check_docs.py flow``) fails if ``docs/flow-control.md`` stops
     mentioning one of them.
     """
 

@@ -3,10 +3,13 @@
 The production counterpart of :class:`repro.sim.host.SimHost`: it feeds
 connection/timer events into a core and hands the effects the core
 returns to the shared :class:`~repro.core.interpreter.EffectInterpreter`.
-This class is only the :class:`~repro.core.interpreter.EffectBackend` —
-sockets, asyncio timers, and the GroupStore; dispatch semantics (drop
-counting, batching, the TruncateWal contract) live in the interpreter
-and are identical under simulation.  Ordering guarantees:
+This class is only the asyncio half of the
+:class:`~repro.core.interpreter.EffectBackend` — sockets, tasks and
+``call_later``; storage effects, the timer table, notify and the outbox
+registry are inherited from :class:`~repro.runtime.backend.HostBackend`,
+and dispatch semantics (drop counting, batching, the TruncateWal
+contract) live in the interpreter, identical under simulation.
+Ordering guarantees:
 
 * effects from one input event are executed in emission order;
 * messages to one connection are written by a dedicated writer task fed
@@ -29,22 +32,22 @@ from typing import Any, Callable, Iterable
 
 from repro.core.clock import Clock, MonotonicClock
 from repro.core.events import Effect, ProtocolCore
-from repro.core.interpreter import (
-    DispatchStats,
-    EffectBackend,
-    Middleware,
-    build_interpreter,
-)
-from repro.net.flowcontrol import DEFAULT_FLOW, BoundedOutbox, FlowControlConfig
+from repro.core.interpreter import Middleware
+from repro.net.flowcontrol import FlowControlConfig
 from repro.net.transport import Connection, Listener, Transport
+from repro.runtime.backend import HostBackend
 from repro.storage.store import GroupStore
 
 __all__ = ["AsyncioHost"]
 
 logger = logging.getLogger("repro.runtime")
 
+#: Seconds between background WAL flushes: the bound on the loss window
+#: of the paper's "logging in parallel with delivery".
+FLUSH_INTERVAL = 0.2
 
-class AsyncioHost(EffectBackend):
+
+class AsyncioHost(HostBackend):
     """Drives one protocol core on the running asyncio event loop."""
 
     def __init__(
@@ -53,64 +56,30 @@ class AsyncioHost(EffectBackend):
         transport: Transport,
         clock: Clock | None = None,
         store: GroupStore | None = None,
-        flush_interval: float | None = 0.2,
         middlewares: Iterable[Middleware] = (),
         flow: FlowControlConfig | None = None,
     ) -> None:
-        self.core = core
+        super().__init__(store, middlewares, flow)
+        self.set_core(core)
         self.transport = transport
         self.clock = clock or MonotonicClock()
-        self.store = store
-        self.flow = flow if flow is not None else DEFAULT_FLOW
-        self.interpreter = build_interpreter(self, middlewares)
-        if hasattr(core, "stats"):
-            # server cores count transfer events on their own stats
-            # object; point it at the interpreter's so dispatch_stats
-            # reports one unified set of counters
-            core.stats = self.interpreter.stats
-        self._flush_interval = flush_interval
         self._conns: dict[int, Connection] = {}
-        self._outboxes: dict[int, BoundedOutbox] = {}
         self._wakeups: dict[int, asyncio.Event] = {}
-        self._retired_peak_depth = 0
         self._tasks: set[asyncio.Task] = set()
-        self._timers: dict[str, asyncio.TimerHandle] = {}
         self._next_conn = 0
         self._listener: Listener | None = None
-        self._notify_handlers: list[Callable[[str, Any], None]] = []
         self._stopped = asyncio.Event()
-
-    @property
-    def dispatch_stats(self) -> DispatchStats:
-        """Effect counters (sends, drops, timers, WAL ops, ...)."""
-        return self.interpreter.stats
-
-    @property
-    def outbox_peak_depth(self) -> int:
-        """High-water mark of queued frames over all outboxes, ever.
-
-        A host-level gauge rather than a ``DispatchStats`` counter: peak
-        depth depends on writer/pump scheduling, so it is measured, not
-        parity-checked across backends (``docs/flow-control.md``).
-        """
-        live = max((box.peak_depth for box in self._outboxes.values()), default=0)
-        return max(live, self._retired_peak_depth)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-
-    def on_notify(self, handler: Callable[[str, Any], None]) -> None:
-        """Register an application callback for ``Notify`` effects
-        (multiple handlers are all invoked, in registration order)."""
-        self._notify_handlers.append(handler)
 
     async def listen(self, address: Any) -> Any:
         """Accept inbound connections at *address*; returns the bound
         address (with the real port when an ephemeral one was asked)."""
         self._listener = await self.transport.listen(address)
         self._spawn(self._accept_loop(self._listener))
-        if self.store is not None and self._flush_interval:
+        if self.store is not None:
             self._spawn(self._flush_loop())
         return self._listener.address
 
@@ -119,9 +88,7 @@ class AsyncioHost(EffectBackend):
         self._stopped.set()
         if self._listener is not None:
             await self._listener.close()
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        self._cancel_timers()
         for conn in list(self._conns.values()):
             await conn.close()
         # a ShutDown effect runs stop() as a tracked task: it must not
@@ -176,21 +143,10 @@ class AsyncioHost(EffectBackend):
     # EffectBackend: timers
     # ------------------------------------------------------------------
 
-    def start_timer(self, key: str, delay: float) -> None:
-        existing = self._timers.pop(key, None)
-        if existing is not None:
-            existing.cancel()
-        loop = asyncio.get_running_loop()
-        self._timers[key] = loop.call_later(delay, self._fire_timer, key)
-
-    def cancel_timer(self, key: str) -> None:
-        handle = self._timers.pop(key, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _fire_timer(self, key: str) -> None:
-        self._timers.pop(key, None)
-        self.dispatch(self.core.on_timer(key))
+    def call_later(
+        self, delay: float, fn: Callable[..., None], *args: Any
+    ) -> asyncio.TimerHandle:
+        return asyncio.get_running_loop().call_later(delay, fn, *args)
 
     # ------------------------------------------------------------------
     # EffectBackend: connections
@@ -215,39 +171,8 @@ class AsyncioHost(EffectBackend):
         self._spawn(connection.close())
 
     # ------------------------------------------------------------------
-    # EffectBackend: storage
+    # EffectBackend: lifecycle
     # ------------------------------------------------------------------
-
-    def create_group_storage(self, group: str, meta: bytes) -> None:
-        if self.store is not None and not self.store.has_group(group):
-            self.store.create_group(group, meta)
-
-    def purge_group_storage(self, group: str) -> None:
-        if self.store is not None:
-            self.store.delete_group(group)
-
-    def append_wal(self, group: str, seqno: int, record: bytes) -> None:
-        if self.store is not None:
-            self.store.append(group, seqno, record)
-
-    def append_wal_many(self, group: str, records: list[tuple[int, bytes]]) -> None:
-        if self.store is not None:
-            self.store.append_many(group, records)
-
-    def write_checkpoint(self, group: str, seqno: int, snapshot: bytes) -> None:
-        if self.store is not None:
-            self.store.checkpoint(group, seqno, snapshot)
-
-    # truncate_wal: inherited no-op — GroupStore.checkpoint already
-    # rotates segments (see the EffectBackend contract).
-
-    # ------------------------------------------------------------------
-    # EffectBackend: notify and lifecycle
-    # ------------------------------------------------------------------
-
-    def notify(self, kind: str, payload: Any) -> None:
-        for handler in self._notify_handlers:
-            handler(kind, payload)
 
     def shutdown(self, reason: str) -> None:
         self._spawn(self.stop())
@@ -264,7 +189,7 @@ class AsyncioHost(EffectBackend):
         conn_id = self._next_conn
         self._next_conn += 1
         self._conns[conn_id] = conn
-        self._outboxes[conn_id] = BoundedOutbox(self.flow, self.interpreter.stats)
+        self._open_outbox(conn_id)
         self._wakeups[conn_id] = asyncio.Event()
         self._spawn(self._writer_loop(conn_id, conn))
         self._spawn(self._reader_loop(conn_id, conn))
@@ -345,9 +270,7 @@ class AsyncioHost(EffectBackend):
     def _drop_connection(self, conn_id: int) -> None:
         if self._conns.pop(conn_id, None) is None:
             return
-        outbox = self._outboxes.pop(conn_id, None)
-        if outbox is not None and outbox.peak_depth > self._retired_peak_depth:
-            self._retired_peak_depth = outbox.peak_depth
+        self._retire_outbox(conn_id)
         self._wakeups.pop(conn_id, None)
         self.dispatch(self.core.on_closed(conn_id))
 
@@ -356,11 +279,11 @@ class AsyncioHost(EffectBackend):
     # ------------------------------------------------------------------
 
     async def _flush_loop(self) -> None:
-        assert self.store is not None and self._flush_interval
+        assert self.store is not None
         loop = asyncio.get_running_loop()
         try:
             while True:
-                await asyncio.sleep(self._flush_interval)
+                await asyncio.sleep(FLUSH_INTERVAL)
                 # flush() fsyncs; run it off-loop so a slow disk never
                 # stalls connection reads (deepcheck BLOCK002)
                 await loop.run_in_executor(None, self.store.flush)

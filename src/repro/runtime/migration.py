@@ -19,10 +19,8 @@ froze it —
   above it, so the destination's store segment recovers the group after
   a crash exactly as the source's would have.
 
-The protocol itself lives in ``repro.runtime.shard`` (asyncio) and
-``repro.sim.shard`` (deterministic mirror); this module is pure data +
-(de)construction so both backends share one definition of "the state
-that moves".
+The protocol itself lives in ``repro.runtime.sharding``; this module is
+pure data + (de)construction: the definition of "the state that moves".
 """
 
 from __future__ import annotations

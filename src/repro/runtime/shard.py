@@ -1,118 +1,49 @@
-"""Group-sharded parallel service: per-shard event loops + a front router.
+"""Group-sharded parallel service: the asyncio/thread driver.
 
-The paper observes (§4.1) that a stateful group server parallelizes
-naturally along group boundaries: updates for different groups never
-touch shared state, so groups can be partitioned across workers that
-proceed independently.  This module is that design over asyncio:
+The sharding design itself — router, front sessions core, worker item
+protocol, migration, restart, the control loop — is backend-free and
+lives in :mod:`repro.runtime.sharding`.  This module only supplies the
+event loops:
 
-* :class:`ShardedHost` owns the listening socket and one
-  :class:`~repro.runtime.host.AsyncioHost` front whose core is a
-  :class:`ShardSessions` — the connection/session half of
-  :class:`~repro.core.server.ServerCore` (Hello handshake, auth, stale
-  connections, Ping, ListGroups) with every group-scoped request routed
-  to the owning shard.
-* Each shard is a :class:`_ShardWorker`: its own thread + asyncio event
-  loop, its own :class:`~repro.core.server.ServerCore` holding only the
-  groups it owns, its own :class:`~repro.core.interpreter.EffectInterpreter`,
-  and (when persistence is on) its own :class:`~repro.storage.GroupStore`
-  rooted at ``<store_root>/shard<i>`` — so WAL segments never cross
-  shards.  Work arrives through a bounded FIFO mailbox.
-* :class:`ShardRouter` maps ``GroupId -> shard`` with a consistent-hash
-  ring (stable across restarts and shard-count-preserving recoveries)
-  plus an explicit per-group *lease* for groups that live away from
-  their natural owner (placed while the owner was draining, found in
-  another shard's store during recovery, or moved by a live migration).
-  Each lease carries a monotone *epoch*; forwarded commands are stamped
-  with the epoch at routing time and a worker rejects commands whose
-  epoch is behind its lease (``corona.stale_epoch``) instead of
-  silently serving a group it no longer owns.
+* :class:`ShardedHost` is the front: an
+  :class:`~repro.runtime.host.AsyncioHost` that owns the listening
+  socket and runs the :class:`~repro.runtime.sharding.ShardSessions`
+  core; worker relays reach it through ``call_soon_threadsafe``.
+* Each shard is a :class:`_ShardWorker`: a daemon thread with its own
+  asyncio event loop, fed through a bounded FIFO mailbox, and a
+  :class:`~repro.core.scheduler.ThreadPoolEngine` when the optimistic
+  scheduler is on.
 
-Ownership moves only through live migration (``migrate_group``): the
-front freezes the group (buffering its commands), the source worker
-barriers its speculation window, snapshots the
-:class:`~repro.core.group_runtime.GroupRuntime` (state, log tail,
-membership, locks, sequencer) together with its durable base
-(checkpoint + WAL tail), the destination installs the snapshot and
-adopts the storage into its own segment, and the front then bumps the
-lease epoch and replays the buffered commands to the new owner.  A
-crash of either side mid-migration aborts cleanly: the source re-adopts
-its stashed runtime and the lease (and epoch) never move.
-
-A connection can span groups on several shards: the front lazily
-*introduces* the connection to a shard (a synthesized Hello carrying the
-authenticated client id) before forwarding its first request there, and
-fans a close out to every shard that was introduced.  Replies flow back
-through the front's interpreter, so per-connection send order is the
-front event loop's FIFO and the counters on both sides are real
-interpreter stats — :attr:`ShardedHost.dispatch_stats` is their
-field-wise sum, directly comparable with the sharded simulator's.
+The simulator's driver for the same design is :mod:`repro.sim.shard`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import bisect
-import dataclasses
-import hashlib
 import logging
 import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.core.auth import AllowAnyClient
 from repro.core.clock import Clock, MonotonicClock
-from repro.core.errors import (
-    CoronaError,
-    NotAuthorizedError,
-    ProtocolError,
-    StaleEpochError,
-)
-from repro.core.events import CloseConnection, ProtocolCore
-from repro.core.group_runtime import GroupRuntime
-from repro.core.ids import ClientId, ConnId, GroupId
-from repro.core.interpreter import (
-    DispatchStats,
-    EffectBackend,
-    Middleware,
-    build_interpreter,
-)
+from repro.core.interpreter import Middleware
 from repro.core.scheduler import ThreadPoolEngine
-from repro.core.server import ServerConfig, ServerCore
+from repro.core.server import ServerConfig
 from repro.net.transport import Transport
 from repro.runtime.host import AsyncioHost
-from repro.runtime.migration import (
-    GroupSnapshot,
-    MigrationRecord,
-    restore_group,
-    snapshot_group,
+from repro.runtime.sharding import (
+    ShardFront,
+    ShardRouter,
+    ShardSessions,
+    ShardWorkerBase,
+    aggregate_stats,
+    front_middlewares,
+    shard_config,
 )
 from repro.storage.store import GroupStore, RecoveredGroup
-from repro.wire.messages import (
-    AcquireLockRequest,
-    BcastStateRequest,
-    BcastUpdateRequest,
-    ChunkAck,
-    CreateGroupRequest,
-    DeleteGroupRequest,
-    ErrorReply,
-    GetMembershipRequest,
-    GroupInfo,
-    GroupListReply,
-    Hello,
-    HelloReply,
-    JoinGroupRequest,
-    LeaveGroupRequest,
-    ListGroupsRequest,
-    Message,
-    PingReply,
-    PingRequest,
-    PROTOCOL_VERSION,
-    ReduceLogRequest,
-    ReleaseLockRequest,
-    TransferResume,
-)
 
 __all__ = [
+    "ShardFront",
     "ShardRouter",
     "ShardSessions",
     "ShardWorkerBase",
@@ -123,806 +54,10 @@ __all__ = [
 
 logger = logging.getLogger("repro.runtime.shard")
 
-#: Request types the front routes to the owning shard (each carries a
-#: ``group`` field).  Everything ServerCore dispatches except the three
-#: session-scoped requests the front answers itself.
-FORWARDED_REQUESTS = (
-    CreateGroupRequest,
-    DeleteGroupRequest,
-    JoinGroupRequest,
-    LeaveGroupRequest,
-    GetMembershipRequest,
-    BcastStateRequest,
-    BcastUpdateRequest,
-    AcquireLockRequest,
-    ReleaseLockRequest,
-    ReduceLogRequest,
-    # chunked state transfer: acks and resumes must reach the shard
-    # that owns the transfer session for the group
-    ChunkAck,
-    TransferResume,
-)
+#: Items a shard mailbox holds before a post suspends (backpressure).
+MAILBOX_SIZE = 1024
 
 _STOP = object()  # mailbox sentinel: drain FIFO, then exit the worker loop
-
-
-def aggregate_stats(parts: Iterable[DispatchStats]) -> DispatchStats:
-    """Field-wise sum of per-interpreter counters (front + every shard)."""
-    total = DispatchStats()
-    for part in parts:
-        for f in dataclasses.fields(DispatchStats):
-            setattr(total, f.name, getattr(total, f.name) + getattr(part, f.name))
-    return total
-
-
-def shard_config(config: ServerConfig, index: int) -> ServerConfig:
-    """Derive the ServerConfig one shard core runs with.
-
-    The front already authenticated the client, so shard cores accept
-    any introduction; everything else (statefulness, persistence,
-    reduction policy, session manager) is inherited.
-    """
-    return dataclasses.replace(
-        config,
-        server_id=f"{config.server_id}/shard{index}",
-        authenticator=AllowAnyClient(),
-    )
-
-
-class ShardRouter:
-    """Consistent-hash placement of groups onto shards, with leases.
-
-    The ring (``vnodes`` points per shard, SHA-1 keyed) makes placement
-    a pure function of the group name — two servers with the same shard
-    count agree on every group's owner with no coordination, and a
-    restart recovers each group onto the shard whose store holds it.
-    A *lease* records the exceptions: groups created while their natural
-    owner was draining, discovered on a different shard during recovery,
-    or moved by a live migration.  :meth:`migrate` is the only operation
-    that moves an existing group's lease, and it bumps the group's
-    *epoch* — a monotone counter stamped onto every forwarded command so
-    a worker can reject commands routed before an ownership change
-    instead of silently misrouting them.  Epochs never decrease and
-    survive unpinning and even group deletion, so a stale in-flight
-    command cannot masquerade as current after a name is reused.
-    """
-
-    def __init__(self, shards: int, vnodes: int = 64) -> None:
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        self.shards = shards
-        ring = sorted(
-            (self._hash(f"shard{s}#vnode{v}"), s)
-            for s in range(shards)
-            for v in range(vnodes)
-        )
-        self._points = [h for h, _ in ring]
-        self._owners = [s for _, s in ring]
-        self._leases: dict[GroupId, int] = {}
-        self._epochs: dict[GroupId, int] = {}
-        self._drained: set[int] = set()
-
-    @staticmethod
-    def _hash(key: str) -> int:
-        return int.from_bytes(hashlib.sha1(key.encode()).digest()[:8], "big")
-
-    # -- placement ------------------------------------------------------
-
-    def natural(self, group: GroupId) -> int:
-        """The ring owner of *group*, ignoring pins and drains."""
-        return self._ring_owner(group, avoid=frozenset())
-
-    def route(self, group: GroupId) -> int:
-        """Where requests for *group* go: its lease, else the ring owner.
-
-        Draining does NOT divert routing — a draining shard still owns
-        (and must keep serving) the groups already placed on it.
-        """
-        leased = self._leases.get(group)
-        if leased is not None:
-            return leased
-        return self._ring_owner(group, avoid=frozenset())
-
-    def assign(self, group: GroupId) -> int:
-        """Placement for a group being *created* now.
-
-        Prefers the existing lease, then the natural owner; a draining
-        natural owner is skipped along the ring and the displaced
-        placement is leased so later :meth:`route` calls stay stable.
-        """
-        leased = self._leases.get(group)
-        if leased is not None and leased not in self._drained:
-            return leased
-        natural = self._ring_owner(group, avoid=frozenset())
-        if natural not in self._drained:
-            self._leases.pop(group, None)
-            return natural
-        shard = self._ring_owner(group, avoid=self._drained)
-        self._leases[group] = shard
-        return shard
-
-    def migrate(self, group: GroupId, dst: int) -> int:
-        """Commit an ownership move: lease *group* to *dst* and bump its
-        epoch.  This is the ONLY way an existing group changes owner —
-        :meth:`pin` seeds recovery placement for groups a store already
-        holds, it never moves a live one.  Returns the new epoch."""
-        if not (0 <= dst < self.shards):
-            raise ValueError(f"no shard {dst} (have {self.shards})")
-        self._leases[group] = dst
-        self._epochs[group] = self._epochs.get(group, 0) + 1
-        return self._epochs[group]
-
-    def lease(self, group: GroupId) -> int | None:
-        """The shard holding *group*'s lease, or None (ring placement)."""
-        return self._leases.get(group)
-
-    def epoch(self, group: GroupId) -> int:
-        """Current ownership epoch of *group* (0 until first migration)."""
-        return self._epochs.get(group, 0)
-
-    def epochs(self) -> dict[GroupId, int]:
-        """Every group whose epoch ever moved (``repro topology``)."""
-        return dict(self._epochs)
-
-    def drained(self) -> frozenset[int]:
-        """Shards currently refusing new placements."""
-        return frozenset(self._drained)
-
-    def _ring_owner(self, group: GroupId, avoid: frozenset[int] | set[int]) -> int:
-        h = self._hash(group)
-        idx = bisect.bisect_right(self._points, h)
-        n = len(self._owners)
-        for step in range(n):
-            owner = self._owners[(idx + step) % n]
-            if owner not in avoid:
-                return owner
-        return self._owners[idx % n]  # everything drained: natural owner
-
-    # -- pins and drains ------------------------------------------------
-
-    def pin(self, group: GroupId, shard: int) -> None:
-        """Lease *group* to *shard* without an epoch bump (recovery found
-        its data there; no ownership ever moved)."""
-        self._leases[group] = shard
-
-    def unpin(self, group: GroupId) -> None:
-        """Drop the lease (the epoch, if any, survives)."""
-        self._leases.pop(group, None)
-
-    def pins(self) -> dict[GroupId, int]:
-        """The full lease table (compatibility name)."""
-        return dict(self._leases)
-
-    def drain(self, shard: int) -> None:
-        """Stop placing NEW groups on *shard* (existing ones stay)."""
-        self._drained.add(shard)
-
-    def undrain(self, shard: int) -> None:
-        self._drained.discard(shard)
-
-
-class ShardSessions(ProtocolCore):
-    """The front core: sessions, auth, routing — no group state at all.
-
-    Mirrors the connection-scoped half of :class:`ServerCore` exactly
-    (same error texts, same stale-connection handling) so a client
-    cannot tell a sharded server from a flat one, then forwards every
-    group-scoped request into the owning shard's mailbox.
-    """
-
-    def __init__(
-        self,
-        config: ServerConfig,
-        clock: Clock,
-        router: ShardRouter,
-        shard_count: int,
-        post: Callable[[int, tuple], None],
-    ) -> None:
-        super().__init__()
-        self.config = config
-        self.clock = clock
-        self.router = router
-        self.shard_count = shard_count
-        self._post = post
-        self._conn_client: dict[ConnId, ClientId] = {}
-        self._client_conn: dict[ClientId, ConnId] = {}
-        #: Which shards each connection has been introduced to.
-        self._intro: dict[ConnId, set[int]] = {}
-        #: In-flight ListGroups scatter-gathers: (conn, request_id) ->
-        #: {"remaining": shards yet to answer, "infos": fragments so far}.
-        self._gathers: dict[tuple[ConnId, int], dict[str, Any]] = {}
-        #: In-flight migrations: group -> mutable state (see
-        #: :meth:`begin_migration` for the schema and phases).
-        self._migrations: dict[GroupId, dict[str, Any]] = {}
-        #: Ids tie worker relays to the migration attempt that caused
-        #: them, so relays from an aborted attempt cannot corrupt a
-        #: newer one for the same group.
-        self._migration_seq = 0
-        #: Finished migrations, oldest first (``repro topology`` and the
-        #: migration benchmark read freeze windows / bytes from here).
-        self.migration_log: list[MigrationRecord] = []
-
-    # -- host entry points ----------------------------------------------
-
-    def handle_message(self, conn: ConnId, message: Message) -> None:
-        try:
-            if isinstance(message, Hello):
-                self._on_hello(conn, message)
-            elif isinstance(message, PingRequest):
-                self._client_of(conn)
-                self.send(conn, PingReply(message.request_id, self.clock.now()))
-            elif isinstance(message, ListGroupsRequest):
-                self._client_of(conn)
-                self._scatter_list(conn, message.request_id)
-            elif type(message) in _FORWARDED_SET:
-                client = self._client_of(conn)
-                mig = self._migrations.get(message.group)
-                if mig is not None:
-                    # the group is frozen mid-migration: hold the command
-                    # here; it replays, in arrival order, to whichever
-                    # shard owns the group once the migration settles
-                    mig["buffer"].append((conn, client, message))
-                    return
-                if isinstance(message, CreateGroupRequest):
-                    shard = self.router.assign(message.group)
-                else:
-                    shard = self.router.route(message.group)
-                self._forward(shard, conn, client, message)
-            else:
-                raise ProtocolError(
-                    f"unexpected message {type(message).__name__}"
-                )
-        except CoronaError as err:
-            self._reply_error(conn, getattr(message, "request_id", 0), err)
-
-    def handle_closed(self, conn: ConnId) -> None:
-        for shard in sorted(self._intro.pop(conn, ())):
-            self._post(shard, ("closed", conn))
-        for key in [k for k in self._gathers if k[0] == conn]:
-            del self._gathers[key]
-        client = self._conn_client.pop(conn, None)
-        if client is not None and self._client_conn.get(client) == conn:
-            del self._client_conn[client]
-
-    # -- handshake (mirrors ServerCore._on_hello) ------------------------
-
-    def _on_hello(self, conn: ConnId, msg: Hello) -> None:
-        if msg.protocol_version != PROTOCOL_VERSION:
-            self._reply_error(conn, 0, ProtocolError(
-                f"protocol version {msg.protocol_version} not supported "
-                f"(server speaks {PROTOCOL_VERSION})"
-            ))
-            self.emit(CloseConnection(conn))
-            return
-        if not self.config.authenticator.authenticate(msg.client_id, msg.token):
-            self._reply_error(conn, 0, NotAuthorizedError(
-                f"authentication failed for {msg.client_id!r}"
-            ))
-            self.emit(CloseConnection(conn))
-            return
-        stale = self._client_conn.get(msg.client_id)
-        if stale is not None and stale != conn:
-            self._conn_client.pop(stale, None)
-            self.emit(CloseConnection(stale))
-        self._conn_client[conn] = msg.client_id
-        self._client_conn[msg.client_id] = conn
-        self.send(conn, HelloReply(server_id=self.config.server_id))
-
-    def _client_of(self, conn: ConnId) -> ClientId:
-        client = self._conn_client.get(conn)
-        if client is None:
-            raise ProtocolError("request before Hello handshake")
-        return client
-
-    # -- routing ---------------------------------------------------------
-
-    def _forward(
-        self, shard: int, conn: ConnId, client: ClientId, message: Message
-    ) -> None:
-        seen = self._intro.setdefault(conn, set())
-        if shard not in seen:
-            seen.add(shard)
-            # Introduce the already-authenticated client to the shard
-            # core; its HelloReply echo is swallowed in shard_reply().
-            self._post(shard, ("hello", conn, Hello(client_id=client)))
-        # stamp the ownership epoch at routing time: if the group moves
-        # before the worker dequeues this, the command is rejected with
-        # corona.stale_epoch instead of silently served by a non-owner
-        self._post(
-            shard, ("message", conn, message, self.router.epoch(message.group))
-        )
-
-    def forget_shard(self, index: int) -> None:
-        """A shard restarted with a fresh core: every connection must be
-        re-introduced before its next request lands there."""
-        for seen in self._intro.values():
-            seen.discard(index)
-
-    # -- live migration (front-loop only) ---------------------------------
-    #
-    # State machine per group:
-    #
-    #   begin_migration      "freezing"    commands buffer at the front;
-    #                                      source told to freeze+snapshot
-    #   migration_snapshot   "installing"  source detached the runtime;
-    #                                      destination told to install
-    #   migration_installed  (done)        lease moved, epoch bumped,
-    #                                      buffer replayed to destination
-    #
-    # abort_migrations_for_shard unwinds from any phase: destination down
-    # -> the source re-adopts its stashed runtime; source down -> any
-    # installed copy is discarded and the lease (and epoch) never move.
-
-    def begin_migration(self, group: GroupId, dst: int) -> None:
-        """Start moving *group* onto shard *dst*.
-
-        Validation is front-local; whether the group actually exists is
-        the source worker's call (``migration_failed`` unwinds cleanly).
-        """
-        if group in self._migrations:
-            raise ValueError(f"group {group!r} is already migrating")
-        if not (0 <= dst < self.shard_count):
-            raise ValueError(f"no shard {dst} (have {self.shard_count})")
-        src = self.router.route(group)
-        if dst == src:
-            raise ValueError(f"group {group!r} already lives on shard {dst}")
-        if dst in self.router.drained():
-            raise ValueError(f"shard {dst} is draining")
-        self._migration_seq += 1
-        mig_id = self._migration_seq
-        self._migrations[group] = {
-            "id": mig_id,
-            "src": src,
-            "dst": dst,
-            "epoch": self.router.epoch(group),
-            "phase": "freezing",
-            "buffer": [],
-            "record": MigrationRecord(
-                group=group, src=src, dst=dst,
-                epoch=self.router.epoch(group), started=self.clock.now(),
-            ),
-        }
-        self._post(src, ("migrate_out", group, mig_id))
-
-    def migrations(self) -> dict[GroupId, str]:
-        """Phase of every in-flight migration (introspection/tests)."""
-        return {group: mig["phase"] for group, mig in self._migrations.items()}
-
-    def migration_failed(self, group: GroupId, mig_id: int) -> None:
-        """Source relay: it does not host *group* (front-loop only)."""
-        mig = self._migrations.get(group)
-        if mig is None or mig["id"] != mig_id:
-            return
-        del self._migrations[group]
-        self._finish_migration(mig, "failed")
-
-    def migration_snapshot(
-        self, group: GroupId, src: int, snap: GroupSnapshot, mig_id: int
-    ) -> None:
-        """Source relay: the group is frozen and captured (front-loop
-        only).  Introduces live member connections to the destination,
-        flags members whose connection died during the freeze (the
-        source never saw those closes for the detached runtime), and
-        streams the snapshot on."""
-        mig = self._migrations.get(group)
-        if mig is None or mig["id"] != mig_id:
-            # this attempt was aborted while the snapshot was in flight:
-            # hand ownership straight back to the source
-            self._post(src, ("migrate_abort", group, mig_id))
-            return
-        mig["phase"] = "installing"
-        mig["record"].bytes = snap.size_bytes()
-        dst = mig["dst"]
-        dead = []
-        for client_id, conn, _role, _notices in snap.members:
-            if self._conn_client.get(conn) != client_id:
-                dead.append(client_id)
-                continue
-            seen = self._intro.setdefault(conn, set())
-            if dst not in seen:
-                seen.add(dst)
-                self._post(dst, ("hello", conn, Hello(client_id=client_id)))
-        self._post(
-            dst,
-            ("migrate_in", group, snap, mig["epoch"] + 1, tuple(dead), mig_id),
-        )
-
-    def migration_installed(self, group: GroupId, dst: int, mig_id: int) -> None:
-        """Destination relay: snapshot installed + storage adopted
-        (front-loop only).  Commits: the lease moves, the epoch bumps,
-        and the frozen backlog replays to the new owner."""
-        mig = self._migrations.get(group)
-        if mig is None or mig["id"] != mig_id:
-            # aborted mid-install (a shard restarted underneath it):
-            # drop that attempt's copy — the id check on the worker makes
-            # this a no-op if a newer attempt already owns the name
-            self._post(dst, ("migrate_discard", group, mig_id))
-            return
-        del self._migrations[group]
-        new_epoch = self.router.migrate(group, mig["dst"])
-        self._post(mig["src"], ("migrate_commit", group, mig_id))
-        self._post(mig["dst"], ("migrate_activate", group, mig_id))
-        self._finish_migration(mig, "committed", epoch=new_epoch)
-
-    def abort_migrations_for_shard(self, index: int) -> None:
-        """A shard crashed or restarted: unwind every migration it was
-        part of.  The lease never moved, so after the unwind the source
-        (or its restarted self, recovering from its own store) still
-        owns each group and the buffered commands replay there."""
-        for group, mig in list(self._migrations.items()):
-            if mig["dst"] == index:
-                del self._migrations[group]
-                self._post(mig["src"], ("migrate_abort", group, mig["id"]))
-                self._finish_migration(mig, "aborted")
-            elif mig["src"] == index:
-                del self._migrations[group]
-                if mig["phase"] == "installing":
-                    self._post(mig["dst"], ("migrate_discard", group, mig["id"]))
-                self._finish_migration(mig, "aborted")
-
-    def _finish_migration(
-        self, mig: dict[str, Any], outcome: str, epoch: int | None = None
-    ) -> None:
-        record = mig["record"]
-        record.finished = self.clock.now()
-        record.buffered = len(mig["buffer"])
-        record.outcome = outcome
-        if epoch is not None:
-            record.epoch = epoch
-        self.migration_log.append(record)
-        # replay the frozen backlog in arrival order through the normal
-        # routing path: fresh route, fresh epoch stamp, and connections
-        # that died during the freeze drop out here
-        for conn, client, message in mig["buffer"]:
-            if self._conn_client.get(conn) != client:
-                continue
-            self.handle_message(conn, message)
-
-    # -- ListGroups scatter-gather ---------------------------------------
-
-    def _scatter_list(self, conn: ConnId, request_id: int) -> None:
-        self._gathers[(conn, request_id)] = {
-            "remaining": self.shard_count,
-            "infos": [],
-        }
-        for shard in range(self.shard_count):
-            self._post(shard, ("list", conn, request_id))
-
-    def list_fragment(
-        self, conn: ConnId, request_id: int, infos: tuple[GroupInfo, ...]
-    ) -> None:
-        """One shard's slice of a ListGroups answer (front-loop only)."""
-        gather = self._gathers.get((conn, request_id))
-        if gather is None:
-            return  # connection closed while the scatter was in flight
-        gather["remaining"] -= 1
-        gather["infos"].extend(infos)
-        if gather["remaining"] == 0:
-            del self._gathers[(conn, request_id)]
-            merged = tuple(sorted(gather["infos"], key=lambda info: info.name))
-            self.send(conn, GroupListReply(request_id, merged))
-
-    # -- shard -> client replies -----------------------------------------
-
-    def shard_reply(self, conn: ConnId, message: Message) -> None:
-        """Relay one shard-core send to the client (front-loop only)."""
-        if isinstance(message, HelloReply):
-            return  # introduction echo, the client already got the front's
-        self.send(conn, message)
-
-    def shard_reply_batch(self, conn: ConnId, messages: list[Message]) -> None:
-        for message in messages:
-            self.shard_reply(conn, message)
-
-    # -- misc -------------------------------------------------------------
-
-    def _reply_error(self, conn: ConnId, request_id: int, err: CoronaError) -> None:
-        self.send(conn, ErrorReply(request_id, err.code, str(err)))
-
-
-_FORWARDED_SET = frozenset(FORWARDED_REQUESTS)
-
-
-class ShardWorkerBase(EffectBackend):
-    """The backend-independent half of a shard worker.
-
-    Owns the shard's :class:`ServerCore` + interpreter and the mailbox
-    item protocol; subclasses supply the event loop (a thread here, the
-    kernel in :mod:`repro.sim.shard`) and the I/O backend methods.
-
-    Mailbox items::
-
-        ("hello",   conn, Hello)          introduce an authenticated client
-        ("message", conn, Message, epoch) a routed group-scoped request,
-                                          stamped with the lease epoch at
-                                          routing time (3-tuples: unstamped)
-        ("closed",  conn)                 the connection went away
-        ("list",    conn, rid)            answer one ListGroups fragment
-
-        ("migrate_out",      group, mid)                   freeze + stream out
-        ("migrate_in",       group, snap, epoch, dead, mid) install a snapshot
-        ("migrate_commit",   group, mid)                   source: let go
-        ("migrate_activate", group, mid)                   destination: serve
-        ("migrate_abort",    group, mid)                   source: take back
-        ("migrate_discard",  group, mid|None)              drop a stale copy
-    """
-
-    index: int
-    core: ServerCore
-    conns: set[int]
-    recovered_groups: tuple[str, ...]
-    #: Race recorder (duck-typed); subclasses overwrite before use.
-    _recorder: Any = None
-
-    def _init_worker(
-        self,
-        index: int,
-        config: ServerConfig,
-        clock: Clock,
-        recovered: dict[str, RecoveredGroup] | None,
-        middlewares: Iterable[Middleware] = (),
-    ) -> None:
-        self.index = index
-        self.core = ServerCore(config, clock=clock, recovered=recovered)
-        self.interpreter = build_interpreter(self, middlewares)
-        # transfer counters land in this worker's interpreter stats so
-        # aggregate_stats() sees them alongside the effect counters
-        self.core.stats = self.interpreter.stats
-        #: Immutable snapshot of the groups recovered from this shard's
-        #: store, published before the worker loop starts so the front
-        #: can seed router leases without reaching into the live core.
-        self.recovered_groups = tuple(sorted(recovered)) if recovered else ()
-        #: Connections this shard has been introduced to; gates deliver()
-        #: so sends after a forwarded close count as drops, exactly like
-        #: the flat server's unknown-connection semantics.
-        self.conns = set()
-        #: Race-trace lane name (matches the recorder middleware lane).
-        self._race_lane = f"shard{index}"
-        #: Lease epoch last seen per locally served group; commands
-        #: stamped with an older epoch are rejected (corona.stale_epoch).
-        self._group_epochs: dict[str, int] = {}
-        #: Groups frozen and streamed out, awaiting commit/abort:
-        #: name -> (migration id, stashed runtime).
-        self._migrating_out: dict[str, tuple[int, GroupRuntime]] = {}
-        #: Groups installed but not yet activated: name -> migration id.
-        #: Excluded from ListGroups fragments (the source still answers
-        #: for them from its stash until the commit lands).
-        self._importing: dict[str, int] = {}
-        #: Immutable snapshot of served group names, republished after
-        #: every item so the front-side topology controller can sample
-        #: placement without reaching into the live core.
-        self.owned_groups: tuple[str, ...] = self.recovered_groups
-
-    def process_item(self, item: tuple) -> None:
-        kind = item[0]
-        if kind == "hello":
-            _, conn, hello = item
-            self.conns.add(conn)
-            self.interpreter.execute(self.core.on_message(conn, hello))
-        elif kind == "message":
-            if len(item) == 4:
-                _, conn, message, epoch = item
-            else:
-                _, conn, message = item
-                epoch = None
-            if epoch is None or self._epoch_ok(conn, message, epoch):
-                self.interpreter.execute(self.core.on_message(conn, message))
-        elif kind == "closed":
-            _, conn = item
-            self.conns.discard(conn)
-            self.interpreter.execute(self.core.on_closed(conn))
-        elif kind == "list":
-            _, conn, request_id = item
-            scheduler = self.core.scheduler
-            if scheduler is not None and scheduler.pending:
-                # ListGroups bypasses core dispatch, so the barrier the
-                # core applies to non-broadcast messages must happen
-                # here: commit and relay speculated work first, then
-                # read the log tips for the fragment
-                self.interpreter.execute(self.core.end_batch())
-                self.core.begin_batch()
-            # Frozen mid-migration groups answer from the stash; freshly
-            # installed ones stay invisible until activation — between
-            # the two, every scatter (whole-mailbox FIFO before or after
-            # the commit posts) counts each group exactly once.
-            infos = tuple(
-                GroupInfo(g.name, g.persistent, len(g), g.log.next_seqno)
-                for g in self.core.groups.values()
-                if g.name not in self._importing
-            ) + tuple(
-                GroupInfo(
-                    rt.group.name, rt.group.persistent,
-                    len(rt.group), rt.group.log.next_seqno,
-                )
-                for _mid, rt in self._migrating_out.values()
-            )
-            self.fragment_to_front(conn, request_id, infos)
-        elif kind == "migrate_out":
-            _, group, mig_id = item
-            self._migrate_out(group, mig_id)
-        elif kind == "migrate_in":
-            _, group, snap, epoch, dead, mig_id = item
-            self._migrate_in(group, snap, epoch, dead, mig_id)
-        elif kind == "migrate_commit":
-            _, group, mig_id = item
-            self._migrate_commit(group, mig_id)
-        elif kind == "migrate_activate":
-            _, group, mig_id = item
-            if self._importing.get(group) == mig_id:
-                del self._importing[group]
-        elif kind == "migrate_abort":
-            _, group, mig_id = item
-            self._migrate_abort(group, mig_id)
-        elif kind == "migrate_discard":
-            _, group, mig_id = item
-            self._migrate_discard(group, mig_id)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown mailbox item {item!r}")
-        self._publish_groups()
-
-    # -- epoch fencing ----------------------------------------------------
-
-    def _epoch_ok(self, conn: int, message: Message, epoch: int) -> bool:
-        group = getattr(message, "group", None)
-        if group is None:
-            return True
-        known = self._group_epochs.get(group)
-        if known is None or epoch > known:
-            # first sight of the group (or the front re-leased it to us
-            # at a higher epoch): adopt the front's stamp
-            self._group_epochs[group] = epoch
-            return True
-        if epoch == known:
-            return True
-        self.interpreter.stats.stale_epoch_rejects += 1
-        scheduler = self.core.scheduler
-        if scheduler is not None and scheduler.pending:
-            # the rejection must not overtake speculated replies on the
-            # same connection (mirrors the core's error-path barrier)
-            self.interpreter.execute(self.core.end_batch())
-            self.core.begin_batch()
-        err = StaleEpochError(
-            f"group {group!r} migrated: command carries epoch {epoch}, "
-            f"lease is at epoch {known}"
-        )
-        self.core.send(
-            conn,
-            ErrorReply(getattr(message, "request_id", 0), err.code, str(err)),
-        )
-        self.interpreter.execute(self.core.drain())
-        return False
-
-    # -- migration protocol (source side) ---------------------------------
-
-    def _migrate_out(self, group: str, mig_id: int) -> None:
-        runtime = self.core.runtimes.get(group)
-        if runtime is None:
-            self.migration_event_to_front("migration_failed", group, mig_id)
-            return
-        scheduler = self.core.scheduler
-        if scheduler is not None and scheduler.pending:
-            # freeze barrier: every speculated command must commit (and
-            # its effects relay) before the state is captured
-            self.interpreter.execute(self.core.end_batch())
-            self.core.begin_batch()
-        snap = snapshot_group(runtime, self.store)
-        self.core.detach_group(group)
-        self._migrating_out[group] = (mig_id, runtime)
-        self.interpreter.stats.migrations_out += 1
-        if self._recorder is not None:
-            # the snapshot read is the source end of the handoff edge:
-            # the race checker must see it ordered before the
-            # destination's install write via the mig: relay hops
-            self._recorder.read(self._race_lane, f"wal:{group}")
-        self.migration_event_to_front(
-            "migration_snapshot", group, self.index, snap, mig_id
-        )
-
-    def _migrate_commit(self, group: str, mig_id: int) -> None:
-        entry = self._migrating_out.get(group)
-        if entry is None or entry[0] != mig_id:
-            return
-        del self._migrating_out[group]
-        _mid, runtime = entry
-        self.core.forget_group(runtime.group)
-        # WAL segment handoff: the destination's store owns the group's
-        # durable state now; this shard's segments are dead weight
-        self.purge_group_storage(group)
-        self._group_epochs.pop(group, None)
-
-    def _migrate_abort(self, group: str, mig_id: int) -> None:
-        entry = self._migrating_out.get(group)
-        if entry is None or entry[0] != mig_id:
-            return
-        del self._migrating_out[group]
-        _mid, runtime = entry
-        restored = self.core.adopt_group(runtime.group)
-        # reconcile closes that arrived while the group was detached:
-        # handle_closed skipped it (not in runtimes), but conns tracked
-        # the disconnect, so strip those members now — with notices,
-        # exactly as if the close had been processed normally
-        for member in list(runtime.group.members()):
-            if member.conn not in self.conns:
-                restored.remove_member(member.client_id)
-        self.interpreter.stats.migration_aborts += 1
-        self.interpreter.execute(self.core.drain())
-
-    # -- migration protocol (destination side) ----------------------------
-
-    def _migrate_in(
-        self,
-        group: str,
-        snap: GroupSnapshot,
-        epoch: int,
-        dead: tuple[str, ...],
-        mig_id: int,
-    ) -> None:
-        group_obj = restore_group(snap)
-        runtime = self.core.adopt_group(group_obj)
-        self._importing[group] = mig_id
-        self._group_epochs[group] = epoch
-        self.adopt_group_storage(snap)
-        self.interpreter.stats.migrations_in += 1
-        if self._recorder is not None:
-            # destination end of the handoff edge (see _migrate_out)
-            self._recorder.write(self._race_lane, f"wal:{group}")
-        for client_id in dead:
-            # the member's connection died during the freeze and the
-            # source could not process the close for the detached
-            # runtime — deliver the removal (with notices) exactly once,
-            # here on the new owner
-            if group_obj.is_member(client_id):
-                runtime.remove_member(client_id)
-        self.interpreter.execute(self.core.drain())
-        self.migration_event_to_front(
-            "migration_installed", group, self.index, mig_id
-        )
-
-    def _migrate_discard(self, group: str, mig_id: int | None) -> None:
-        """Drop a copy that lost its migration (or, with ``mig_id=None``,
-        a recovered copy whose lease points elsewhere)."""
-        if mig_id is not None and self._importing.get(group) != mig_id:
-            return
-        self._importing.pop(group, None)
-        self._group_epochs.pop(group, None)
-        runtime = self.core.runtimes.get(group)
-        if runtime is not None:
-            self.core.forget_group(runtime.group)
-            self.purge_group_storage(group)
-
-    # -- hooks the backends fill in ---------------------------------------
-
-    def _publish_groups(self) -> None:
-        # every item adds or removes at most one group, so a length
-        # check is enough to notice a change without sorting every time
-        if len(self.core.runtimes) != len(self.owned_groups):
-            self.owned_groups = tuple(sorted(self.core.runtimes))
-
-    def adopt_group_storage(self, snap: GroupSnapshot) -> None:
-        """Install a migrated group's durable base into this shard's own
-        store segment (no-op when the deployment does not persist)."""
-        store = getattr(self, "store", None)
-        if store is not None:
-            store.adopt(
-                snap.name,
-                snap.meta_payload,
-                snap.wal_base,
-                snap.wal_snapshot,
-                list(snap.wal_records),
-            )
-
-    def migration_event_to_front(self, method: str, *args: Any) -> None:
-        """Relay a migration lifecycle event to the front's sessions
-        core.  These relays are the ``mig:`` happens-before hops of the
-        handoff protocol — stripping them from a race trace must make
-        the source's snapshot read and the destination's install write
-        concurrent (see tests)."""
-        raise NotImplementedError
-
-    def fragment_to_front(
-        self, conn: int, request_id: int, infos: tuple[GroupInfo, ...]
-    ) -> None:
-        raise NotImplementedError
 
 
 class _ShardWorker(ShardWorkerBase):
@@ -937,33 +72,15 @@ class _ShardWorker(ShardWorkerBase):
         clock: Clock,
         recovered: dict[str, RecoveredGroup] | None,
         store: GroupStore | None,
-        mailbox_size: int,
         race_recorder: Any = None,
     ) -> None:
-        self._host = host
-        self.store = store
-        # handed in by the builder rather than read off the host, so the
-        # worker never reaches into front-owned state (SHARD003)
-        self._recorder = race_recorder
-        self._lane = f"shard{index}"
-        middlewares: tuple[Middleware, ...] = ()
-        if self._recorder is not None:
-            # wire=False: shard backends relay message objects to the
-            # front unencoded — frame-cache traffic is front-only
-            middlewares = (self._recorder.middleware(self._lane, wire=False),)
-        self._init_worker(index, config, clock, recovered, middlewares)
+        super().__init__(host, index, config, clock, recovered, store, race_recorder)
         scheduler = self.core.scheduler
         if scheduler is not None:
-            # scheduler counters land in this worker's interpreter stats
-            # and execution runs on a real thread pool
-            scheduler.stats = self.interpreter.stats
+            # execution runs on a real thread pool
             scheduler.engine = ThreadPoolEngine(
                 config.exec_lanes, name=f"corona-exec-{index}"
             )
-            if self._recorder is not None:
-                scheduler.bind_recorder(self._recorder, self._lane)
-        self._timers: dict[str, asyncio.TimerHandle] = {}
-        self._mailbox_size = mailbox_size
         self._mailbox: asyncio.Queue | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._ready = threading.Event()
@@ -980,9 +97,7 @@ class _ShardWorker(ShardWorkerBase):
 
     def stop(self) -> None:
         """Post the stop sentinel (FIFO: queued work drains first), join
-        the thread, then flush and close this shard's own store — the
-        worker owns its storage handle end to end; the front never
-        touches it (SHARD001)."""
+        the thread, then flush and close this shard's own store."""
         if self._stopped:
             return
         self._stopped = True
@@ -995,14 +110,12 @@ class _ShardWorker(ShardWorkerBase):
     def _run(self) -> None:
         self._loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self._loop)
-        self._mailbox = asyncio.Queue(self._mailbox_size)
+        self._mailbox = asyncio.Queue(MAILBOX_SIZE)
         self._ready.set()
         try:
             self._loop.run_until_complete(self._main())
         finally:
-            for handle in self._timers.values():
-                handle.cancel()
-            self._timers.clear()
+            self._cancel_timers()
             if self.core.scheduler is not None:
                 self.core.scheduler.engine.close()
             self._loop.close()
@@ -1036,14 +149,8 @@ class _ShardWorker(ShardWorkerBase):
                     # open window below, then exit
                     stopping = True
                     break
-                if type(item) is tuple and item and item[0] == "traced":
-                    _, token, item = item
-                    if self._recorder is not None:
-                        self._recorder.recv(
-                            self._lane, f"mbox:{self._lane}", token
-                        )
                 try:
-                    self.process_item(item)
+                    self.process_item(self._unwrap(item))
                 except Exception:
                     logger.exception(
                         "shard %d failed processing %r", self.index, item
@@ -1064,121 +171,30 @@ class _ShardWorker(ShardWorkerBase):
         assert self._loop is not None and self._mailbox is not None
         asyncio.run_coroutine_threadsafe(self._mailbox.put(item), self._loop)
 
-    # -- EffectBackend: sends (relayed through the front) -----------------
-
-    def _relay(self, fn: Callable[[], None]) -> None:
-        """Hand *fn* to the front loop, recording the mailbox hop when a
-        race recorder is attached (the closure runs in front context)."""
-        token = 0
-        if self._recorder is not None:
-            token = self._recorder.send(self._lane, "mbox:front")
-        self._host.call_front(fn, token)
-
-    def deliver(self, conn: int, message: Any) -> bool:
-        if conn not in self.conns:
-            return False
-        self._relay(
-            lambda: self._host.sessions.shard_reply(conn, message)
-        )
-        return True
-
-    def deliver_batch(self, conn: int, messages: list[Any]) -> bool:
-        if conn not in self.conns:
-            return False
-        self._relay(
-            lambda: self._host.sessions.shard_reply_batch(conn, messages)
-        )
-        return True
-
-    def fragment_to_front(
-        self, conn: int, request_id: int, infos: tuple[GroupInfo, ...]
-    ) -> None:
-        self._relay(
-            lambda: self._host.sessions.list_fragment(conn, request_id, infos)
-        )
-
-    def migration_event_to_front(self, method: str, *args: Any) -> None:
-        token = 0
-        if self._recorder is not None:
-            # "mig:" labels mark the handoff hops so analysis tooling
-            # can isolate (and tests can strip) the migration edges
-            token = self._recorder.send(self._lane, "mig:front")
-        self._host.call_front(
-            lambda: getattr(self._host.sessions, method)(*args), token
-        )
-
     def queue_depth(self) -> int:
         """Approximate mailbox backlog, readable from the front thread
         (a single int read; staleness only skews control decisions)."""
         mailbox = self._mailbox
         return 0 if mailbox is None else mailbox.qsize()
 
-    # -- EffectBackend: timers (on the shard's own loop) ------------------
-
-    def start_timer(self, key: str, delay: float) -> None:
+    def call_later(
+        self, delay: float, fn: Callable[..., None], *args: Any
+    ) -> asyncio.TimerHandle:
+        # timers run on the shard's own loop
         assert self._loop is not None
-        existing = self._timers.pop(key, None)
-        if existing is not None:
-            existing.cancel()
-        self._timers[key] = self._loop.call_later(delay, self._fire_timer, key)
-
-    def cancel_timer(self, key: str) -> None:
-        handle = self._timers.pop(key, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _fire_timer(self, key: str) -> None:
-        self._timers.pop(key, None)
-        self.interpreter.execute(self.core.on_timer(key))
-
-    # -- EffectBackend: connections ---------------------------------------
-
-    def open_connection(self, address: Any, key: str) -> None:
-        pass  # shard cores never dial
-
-    def close_connection(self, conn: int) -> None:
-        # A stale-connection close from the shard core: the front owns
-        # the real socket (and already closed it); just stop delivering.
-        self.conns.discard(conn)
-
-    # -- EffectBackend: storage (this shard's private store) --------------
-
-    def create_group_storage(self, group: str, meta: bytes) -> None:
-        if self.store is not None and not self.store.has_group(group):
-            self.store.create_group(group, meta)
-
-    def purge_group_storage(self, group: str) -> None:
-        if self.store is not None:
-            self.store.delete_group(group)
-
-    def append_wal(self, group: str, seqno: int, record: bytes) -> None:
-        if self.store is not None:
-            self.store.append(group, seqno, record)
-
-    def append_wal_many(self, group: str, records: list[tuple[int, bytes]]) -> None:
-        if self.store is not None:
-            self.store.append_many(group, records)
-
-    def write_checkpoint(self, group: str, seqno: int, snapshot: bytes) -> None:
-        if self.store is not None:
-            self.store.checkpoint(group, seqno, snapshot)
-
-    # -- EffectBackend: notify / lifecycle --------------------------------
-
-    def notify(self, kind: str, payload: Any) -> None:
-        self._relay(lambda: self._host.front.notify(kind, payload))
-
-    def shutdown(self, reason: str) -> None:
-        self._relay(lambda: self._host.request_stop(reason))
+        return self._loop.call_later(delay, fn, *args)
 
 
-class ShardedHost:
+class ShardedHost(ShardFront, AsyncioHost):
     """The sharded asyncio service: front router + N shard workers.
 
-    Drop-in for :class:`AsyncioHost` from :class:`CoronaServer`'s point
-    of view (``listen`` / ``stop`` / ``on_notify`` / ``dispatch_stats``),
-    but group work executes on per-shard event loops in parallel.
+    An :class:`AsyncioHost` running the sessions core (``listen`` /
+    ``stop`` / ``on_notify`` / ``dispatch_stats`` as
+    :class:`CoronaServer` expects), with group work executing on
+    per-shard event loops in parallel.
     """
+
+    worker_class = _ShardWorker
 
     def __init__(
         self,
@@ -1189,230 +205,45 @@ class ShardedHost:
         clock: Clock | None = None,
         core_clock: Clock | None = None,
         middlewares: Iterable[Middleware] = (),
-        mailbox_size: int = 1024,
-        vnodes: int = 64,
         race_recorder: Any = None,
         flow: Any = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        self.config = config
-        self.shards = shards
-        self.clock = clock or MonotonicClock()
-        self.core_clock = core_clock or self.clock
-        #: Optional repro.analysis.racecheck.RaceRecorder (duck-typed so
-        #: the runtime never imports the analysis package).
-        self.race_recorder = race_recorder
-        front_middlewares = tuple(middlewares)
-        if race_recorder is not None:
-            front_middlewares += (race_recorder.middleware("front"),)
-        self.router = ShardRouter(shards, vnodes=vnodes)
-        self.sessions = ShardSessions(
-            config, self.core_clock, self.router, shards, self._post
+        clock = clock or MonotonicClock()
+        ShardFront.__init__(
+            self, config, shards, core_clock or clock, store_root, race_recorder
         )
-        self.front = AsyncioHost(
-            self.sessions, transport, clock=self.clock,
-            middlewares=front_middlewares, flow=flow,
+        AsyncioHost.__init__(
+            self, self.sessions, transport, clock=clock,
+            middlewares=front_middlewares(middlewares, race_recorder), flow=flow,
         )
-        self._store_root = Path(store_root) if store_root is not None else None
-        self._mailbox_size = mailbox_size
-        self.workers: list[_ShardWorker] = []
-        self._retired: list[DispatchStats] = []
+        self.alive = True
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._controller_task: asyncio.Future | None = None
-        self._stopping = False
 
     # -- lifecycle -------------------------------------------------------
 
     async def listen(self, address: Any) -> Any:
         self._loop = asyncio.get_running_loop()
-        for index in range(self.shards):
-            self.workers.append(self._build_worker(index))
-        for worker in self.workers:
-            worker.start()
-        self._seed_pins()
-        return await self.front.listen(address)
+        self.start_workers()
+        return await super().listen(address)
 
     async def stop(self) -> None:
-        if self._stopping:
+        if not self.alive:
             return
-        self._stopping = True
-        if self._controller_task is not None:
-            self._controller_task.cancel()
-            self._controller_task = None
-        await self.front.stop()
+        self.alive = False
+        self.stop_controller()
+        await super().stop()
         # each worker flushes and closes its own store inside stop():
         # storage handles never leave their shard
         for worker in self.workers:
             worker.stop()
 
-    def request_stop(self, reason: str = "") -> None:
-        """Schedule a full stop from the front loop (ShutDown effect)."""
-        if not self._stopping and self._loop is not None:
-            asyncio.ensure_future(self.stop())
-
-    async def wait_stopped(self) -> None:
-        await self.front.wait_stopped()
-
-    def on_notify(self, handler: Callable[[str, Any], None]) -> None:
-        self.front.on_notify(handler)
-
-    # -- stats -----------------------------------------------------------
-
-    @property
-    def dispatch_stats(self) -> DispatchStats:
-        """Aggregated counters: front + every shard (including retired
-        workers from shard restarts)."""
-        parts = [self.front.interpreter.stats]
-        parts.extend(w.interpreter.stats for w in self.workers)
-        parts.extend(self._retired)
-        return aggregate_stats(parts)
-
-    # -- shard management -------------------------------------------------
-
-    def drain_shard(self, index: int) -> None:
-        """Divert NEW group placements away from shard *index*."""
-        self.router.drain(index)
-
-    def undrain_shard(self, index: int) -> None:
-        self.router.undrain(index)
-
-    def migrate_group(self, group: GroupId, dst: int) -> None:
-        """Begin a live migration of *group* onto shard *dst* (call from
-        the front event loop).  The group freezes briefly while its
-        state streams over; commands arriving meanwhile buffer at the
-        front and replay to the new owner in order."""
-        self.sessions.begin_migration(group, dst)
-
-    def restart_shard(self, index: int) -> _ShardWorker:
-        """Crash-restart one shard: stop it, recover its store into a
-        fresh core, and make the front re-introduce every connection.
-        Migrations the shard was part of abort cleanly — ownership stays
-        where the lease says it is."""
-        old = self.workers[index]
-        old.stop()  # joins the thread and closes the worker-owned store
-        # ordered by the join above: the retired loop can no longer run
-        self._retired.append(old.interpreter.stats)  # noqa: SHARD001
-        self.sessions.forget_shard(index)
-        worker = self._build_worker(index)
-        self.workers[index] = worker
-        worker.start()
-        self._seed_pins_for(worker)
-        # after the fresh worker is reachable: unwind in-flight
-        # migrations (buffered commands may replay onto it)
-        self.sessions.abort_migrations_for_shard(index)
-        self.front.dispatch(self.sessions.drain())
-        return worker
-
-    # -- autoscaling control loop -----------------------------------------
-
-    def start_controller(
-        self, config: Any = None, ticks: int | None = None
-    ) -> Any:
-        """Run a :class:`~repro.runtime.topology.TopologyController` on
-        the front loop: sample per-shard load every ``sample_interval``
-        seconds and apply the actions it decides (split hot shards via
-        migration, merge idle ones, restart wedged workers).  *ticks*
-        bounds the number of samples (None = until stop())."""
-        from repro.runtime.topology import TopologyConfig, TopologyController
-
-        controller = TopologyController(config or TopologyConfig())
-        self._controller_task = asyncio.ensure_future(
-            self._controller_loop(controller, ticks)
-        )
-        return controller
-
-    async def _controller_loop(self, controller: Any, ticks: int | None) -> None:
-        from repro.runtime.topology import sample_workers
-
-        done = 0
-        while not self._stopping and (ticks is None or done < ticks):
-            await asyncio.sleep(controller.config.sample_interval)
-            done += 1
-            actions = controller.observe(sample_workers(self.workers))
-            self.apply_topology_actions(actions)
-
-    def apply_topology_actions(self, actions: Iterable[Any]) -> None:
-        """Apply controller decisions (front loop only)."""
-        from repro.runtime.topology import MigrateGroup, RestartShard
-
-        for action in actions:
-            if isinstance(action, MigrateGroup):
-                try:
-                    self.sessions.begin_migration(action.group, action.dst)
-                except ValueError:
-                    pass  # raced a concurrent migration/drain; next cycle
-            elif isinstance(action, RestartShard):
-                self.restart_shard(action.shard)
-
-    # -- internals --------------------------------------------------------
-
-    def _post(self, shard: int, item: tuple) -> None:
-        if self.race_recorder is not None:
-            # migration protocol hops get their own channel label so the
-            # analysis layer can tell handoff edges from routine traffic
-            label = "mig" if item[0].startswith("migrate_") else "mbox"
-            token = self.race_recorder.send("front", f"{label}:shard{shard}")
-            item = ("traced", token, item)
-        self.workers[shard].post(item)
-
-    def _build_worker(self, index: int) -> _ShardWorker:
-        store: GroupStore | None = None
-        recovered: dict[str, RecoveredGroup] | None = None
-        if self._persists and self._store_root is not None:
-            store = GroupStore(self._store_root / f"shard{index}")
-            recovered = store.recover_all()
-        return _ShardWorker(
-            self,
-            index,
-            shard_config(self.config, index),
-            self.core_clock,
-            recovered,
-            store,
-            self._mailbox_size,
-            self.race_recorder,
-        )
-
-    def _seed_pins(self) -> None:
-        """Lease every recovered group that lives away from its natural
-        ring owner, so routing after a restart matches where the data
-        actually is — deterministically."""
-        for worker in self.workers:
-            self._seed_pins_for(worker)
-
-    def _seed_pins_for(self, worker: _ShardWorker) -> None:
-        # recovered_groups is an immutable snapshot published before the
-        # worker thread started — the front never reads the live core
-        for name in worker.recovered_groups:
-            lease = self.router.lease(name)
-            if lease is not None and lease != worker.index:
-                # the lease moved while this shard was down (the group
-                # migrated away): the recovered copy is stale — the
-                # lease holder is authoritative, drop the local replica
-                self._post(worker.index, ("migrate_discard", name, None))
-            elif lease is None and self.router.natural(name) != worker.index:
-                self.router.pin(name, worker.index)
+    # -- ShardFront hooks --------------------------------------------------
 
     def call_front(self, fn: Callable[[], None], token: int = 0) -> None:
-        """Run *fn* on the front loop, then dispatch the effects it made
-        the sessions core emit.  Callable from any shard thread; FIFO
-        per caller, so per-connection reply order is preserved.  *token*
-        carries the race-recorder hop id when instrumentation is on."""
-        if self._stopping or self._loop is None:
+        """Callable from any shard thread: hops onto the front loop."""
+        if not self.alive or self._loop is None:
             return
         try:
-            self._loop.call_soon_threadsafe(self._invoke_front, fn, token)
+            self._loop.call_soon_threadsafe(self.run_front, fn, token)
         except RuntimeError:
             pass  # front loop already closed during shutdown
-
-    def _invoke_front(self, fn: Callable[[], None], token: int = 0) -> None:
-        if self._stopping:
-            return
-        if token and self.race_recorder is not None:
-            self.race_recorder.recv("front", "mbox:front", token)
-        fn()
-        self.front.dispatch(self.sessions.drain())
-
-    @property
-    def _persists(self) -> bool:
-        return self.config.stateful and self.config.persist

@@ -12,11 +12,11 @@ rebalancing actions:
   still for several consecutive samples is the thread-died signature.
 
 The controller is deliberately pure decision logic: ``observe(samples)
--> actions``.  The hosts own the sampling cadence and the execution
-(:meth:`repro.runtime.shard.ShardedHost.start_controller` drives it from
-the front asyncio loop; :meth:`repro.sim.shard.ShardedSimHost.start_controller`
-from the simulation kernel, deterministically), so the same thresholds
-are testable tick by tick without any clock.
+-> actions``.  The host owns the sampling cadence and the execution
+(:meth:`repro.runtime.sharding.ShardFront.start_controller` ticks it
+through the driver's ``call_later`` — the front asyncio loop, or the
+simulation kernel, deterministically), so the same thresholds are
+testable tick by tick without any clock.
 
 Hysteresis: every action starts a cooldown of ``cooldown_samples``
 observations during which the controller stays quiet — migrations take
@@ -209,8 +209,7 @@ def sample_workers(workers) -> list[ShardSample]:
 def topology_report(host) -> dict:
     """Snapshot of the elastic topology for ``repro topology``.
 
-    *host* is a :class:`~repro.runtime.shard.ShardedHost` or
-    :class:`~repro.sim.shard.ShardedSimHost` (duck-typed: ``router``,
+    *host* is any :class:`~repro.runtime.sharding.ShardFront` (``router``,
     ``workers``, ``sessions``, ``dispatch_stats``)."""
     import dataclasses
 

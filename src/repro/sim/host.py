@@ -4,10 +4,13 @@ A :class:`SimHost` owns a protocol core and plays the same role the asyncio
 runtime plays in production: it feeds network/timer events into the core
 and hands the effects the core returns to the shared
 :class:`~repro.core.interpreter.EffectInterpreter`.  This class is only
-the :class:`~repro.core.interpreter.EffectBackend` — virtual CPU, network
-channels, the simulated disk; dispatch semantics (drop counting,
-batching, the TruncateWal contract) live in the interpreter and are
-identical under the asyncio runtime.  On top of that it charges virtual
+the simulated half of the :class:`~repro.core.interpreter.EffectBackend`
+— virtual CPU, network channels, the simulated disk; storage effects,
+the timer table, notify and the outbox registry are inherited from
+:class:`~repro.runtime.backend.HostBackend` (wrapped here only to charge
+their modeled cost), and dispatch semantics (drop counting, batching,
+the TruncateWal contract) live in the interpreter, identical under the
+asyncio runtime.  On top of that it charges virtual
 CPU time for every message handled and sent, so server saturation — the
 phenomenon behind the paper's linear delay curves — emerges naturally.
 
@@ -53,13 +56,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.events import Effect, ProtocolCore
-from repro.core.interpreter import (
-    DispatchStats,
-    EffectBackend,
-    Middleware,
-    build_interpreter,
-)
-from repro.net.flowcontrol import DEFAULT_FLOW, BoundedOutbox, FlowControlConfig
+from repro.core.interpreter import Middleware
+from repro.net.flowcontrol import FlowControlConfig
+from repro.runtime.backend import HostBackend
 from repro.sim.disk import SimDisk
 from repro.sim.kernel import CpuLanes, EventHandle, SimKernel
 from repro.sim.network import Channel, SimNetwork
@@ -79,11 +78,43 @@ class HostStats:
     bytes_received: int = 0
     bytes_sent: int = 0
     cpu_busy: float = 0.0
-    wal_appends: int = 0
-    notifications: int = 0
 
 
-class SimHost(EffectBackend):
+class SimCosts(HostBackend):
+    """Cost-model wrappers around the store-backed storage effects.
+
+    Each charges the simulated CPU lane and disk of :attr:`_machine` and
+    then does the real work through ``super()``.
+    """
+
+    @property
+    def _machine(self) -> "SimHost":
+        """The host whose resources the effects burn: this one, unless a
+        shard worker names the host whose lane it runs on."""
+        return self
+
+    def create_group_storage(self, group: str, meta: bytes) -> None:
+        self._machine.disk.write(len(meta))
+        super().create_group_storage(group, meta)
+
+    def append_wal(self, group: str, seqno: int, record: bytes) -> None:
+        self._machine._charge_log(len(record) + 8)
+        super().append_wal(group, seqno, record)
+
+    def append_wal_many(self, group: str, records: list[tuple[int, bytes]]) -> None:
+        """Group-commit cost model: one CPU handoff and one coalesced
+        disk write for the whole sequenced batch."""
+        self._machine._charge_log(
+            sum(len(record) + 8 for _seqno, record in records)
+        )
+        super().append_wal_many(group, records)
+
+    def write_checkpoint(self, group: str, seqno: int, snapshot: bytes) -> None:
+        self._machine.disk.write(len(snapshot))
+        super().write_checkpoint(group, seqno, snapshot)
+
+
+class SimHost(SimCosts):
     """One simulated machine running one protocol core."""
 
     def __init__(
@@ -98,18 +129,15 @@ class SimHost(EffectBackend):
         middlewares: Iterable[Middleware] = (),
         flow: FlowControlConfig | None = None,
     ) -> None:
+        super().__init__(store, middlewares, flow)
         self.kernel = kernel
         self.network = network
         self.host_id = host_id
         self.segment = segment
         self.profile = profile
-        self.store = store
         self.sync_logging = sync_logging
-        self.flow = flow if flow is not None else DEFAULT_FLOW
         self.disk = SimDisk(kernel, profile.disk)
         self.stats = HostStats()
-        self.interpreter = build_interpreter(self, middlewares)
-        self.core: ProtocolCore | None = None
         self.alive = True
         # One FIFO lane; the sharded subclass swaps in one lane per
         # worker shard and points ``_lane`` at whichever is executing.
@@ -121,47 +149,8 @@ class SimHost(EffectBackend):
         self._exec_floor = 0.0
         self._channels: dict[int, Channel] = {}
         self._conn_ids: dict[int, int] = {}  # channel_id -> conn_id
-        self._outboxes: dict[int, BoundedOutbox] = {}
-        self._retired_peak_depth = 0
         self._next_conn = 0
-        self._timers: dict[str, EventHandle] = {}
-        self._notify_handlers: list[Callable[[str, Any], None]] = []
         network.attach(host_id, segment, self)
-
-    def set_core(self, core: ProtocolCore) -> None:
-        """Install the protocol core this host runs."""
-        self.core = core
-        if hasattr(core, "stats"):
-            # server cores count transfer events on their own stats
-            # object; point it at the interpreter's so both backends
-            # report one unified set of counters (host parity)
-            core.stats = self.interpreter.stats
-
-    def on_notify(self, handler: Callable[[str, Any], None]) -> None:
-        """Register an application callback for ``Notify`` effects
-        (multiple handlers are all invoked, in registration order)."""
-        self._notify_handlers.append(handler)
-
-    @property
-    def dispatch_stats(self) -> DispatchStats:
-        """Effect counters (sends, drops, timers, WAL ops, ...)."""
-        return self.interpreter.stats
-
-    @property
-    def outbox_peak_depth(self) -> int:
-        """High-water mark of queued frames over all outboxes, ever.
-
-        Host-level gauge, not a ``DispatchStats`` counter: depth depends
-        on drain scheduling, so it is measured per backend rather than
-        parity-checked (``docs/flow-control.md``).
-        """
-        live = max((box.peak_depth for box in self._outboxes.values()), default=0)
-        return max(live, self._retired_peak_depth)
-
-    def _retire_outbox(self, conn: int) -> None:
-        box = self._outboxes.pop(conn, None)
-        if box is not None and box.peak_depth > self._retired_peak_depth:
-            self._retired_peak_depth = box.peak_depth
 
     # -- CPU accounting ------------------------------------------------------
 
@@ -185,6 +174,16 @@ class SimHost(EffectBackend):
     @property
     def cpu_free_at(self) -> float:
         return self._cpu_free
+
+    def _charge_log(self, nbytes: int) -> None:
+        """Charge one WAL write of *nbytes* (a record or a whole batch)."""
+        self._occupy_cpu(self.profile.log_overhead)
+        # the write is issued when the CPU gets to it, which under load is
+        # later than the current event time
+        done = self.disk.write(nbytes, earliest=self._cpu_free)
+        if self.sync_logging:
+            # Synchronous durability: the CPU path stalls for the write.
+            self._cpu_free = max(self._cpu_free, done)
 
     # -- injecting work (used by workload drivers) ------------------------------
 
@@ -216,7 +215,7 @@ class SimHost(EffectBackend):
         self._next_conn += 1
         self._channels[conn] = channel
         self._conn_ids[channel.channel_id] = conn
-        self._outboxes[conn] = BoundedOutbox(self.flow, self.interpreter.stats)
+        self._open_outbox(conn)
         peer = channel.peer_of(self.host_id)
         self.interpreter.execute(self.core.on_connected(conn, peer=peer, key=key))
 
@@ -270,26 +269,8 @@ class SimHost(EffectBackend):
     # -- EffectBackend: sends ---------------------------------------------------
 
     def deliver(self, conn: int, message: Any) -> bool:
-        channel = self._channels.get(conn)
-        box = self._outboxes.get(conn)
-        if channel is None or box is None:
-            return False  # connection already gone; fail-stop semantics
-        was_kicked = box.kicked
-        accepted = box.push(message)
-        if not accepted:
-            if box.kicked and not was_kicked:
-                # this push triggered the kick: flush the Disconnect
-                # notice queued on the control lane, then close
-                self.kernel.schedule_at(
-                    max(self.kernel.now(), self._cpu_free), self._pump, conn
-                )
-            return False
-        size = frames.frame_size(message)
-        done = self._occupy_cpu(self.profile.send_cost(size))
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += size
-        self.kernel.schedule_at(done, self._pump, conn)
-        return True
+        # a batch of one: the same accept / charge / pump sequence
+        return self.deliver_batch(conn, [message])
 
     def deliver_batch(self, conn: int, messages: list[Any]) -> bool:
         """One CPU occupancy for a run of sends to one connection.
@@ -301,7 +282,7 @@ class SimHost(EffectBackend):
         channel = self._channels.get(conn)
         box = self._outboxes.get(conn)
         if channel is None or box is None:
-            return False
+            return False  # connection already gone; fail-stop semantics
         was_kicked = box.kicked
         accepted = 0
         total = 0
@@ -319,6 +300,8 @@ class SimHost(EffectBackend):
             for _ in range(accepted):
                 self.kernel.schedule_at(done, self._pump, conn)
         elif box.kicked and not was_kicked:
+            # a push triggered the kick: flush the Disconnect notice
+            # queued on the control lane, then close
             self.kernel.schedule_at(
                 max(self.kernel.now(), self._cpu_free), self._pump, conn
             )
@@ -409,16 +392,10 @@ class SimHost(EffectBackend):
 
     # -- EffectBackend: timers --------------------------------------------------
 
-    def start_timer(self, key: str, delay: float) -> None:
-        existing = self._timers.pop(key, None)
-        if existing is not None:
-            existing.cancel()
-        self._timers[key] = self.kernel.schedule(delay, self._fire_timer, key)
-
-    def cancel_timer(self, key: str) -> None:
-        handle = self._timers.pop(key, None)
-        if handle is not None:
-            handle.cancel()
+    def call_later(
+        self, delay: float, fn: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        return self.kernel.schedule(delay, fn, *args)
 
     def _fire_timer(self, key: str) -> None:
         self._timers.pop(key, None)
@@ -460,55 +437,7 @@ class SimHost(EffectBackend):
             self._conn_ids.pop(channel.channel_id, None)
             self.network.close(channel, self.host_id)
 
-    # -- EffectBackend: storage -------------------------------------------------
-
-    def create_group_storage(self, group: str, meta: bytes) -> None:
-        self.disk.write(len(meta))
-        if self.store is not None and not self.store.has_group(group):
-            self.store.create_group(group, meta)
-
-    def purge_group_storage(self, group: str) -> None:
-        if self.store is not None:
-            self.store.delete_group(group)
-
-    def append_wal(self, group: str, seqno: int, record: bytes) -> None:
-        self.stats.wal_appends += 1
-        self._occupy_cpu(self.profile.log_overhead)
-        # the write is issued when the CPU gets to it, which under load is
-        # later than the current event time
-        done = self.disk.write(len(record) + 8, earliest=self._cpu_free)
-        if self.sync_logging:
-            # Synchronous durability: the CPU path stalls for the write.
-            self._cpu_free = max(self._cpu_free, done)
-        if self.store is not None:
-            self.store.append(group, seqno, record)
-
-    def append_wal_many(self, group: str, records: list[tuple[int, bytes]]) -> None:
-        """Group-commit cost model: one CPU handoff and one coalesced
-        disk write for the whole sequenced batch."""
-        self.stats.wal_appends += len(records)
-        self._occupy_cpu(self.profile.log_overhead)
-        total = sum(len(record) + 8 for _seqno, record in records)
-        done = self.disk.write(total, earliest=self._cpu_free)
-        if self.sync_logging:
-            self._cpu_free = max(self._cpu_free, done)
-        if self.store is not None:
-            self.store.append_many(group, records)
-
-    def write_checkpoint(self, group: str, seqno: int, snapshot: bytes) -> None:
-        self.disk.write(len(snapshot))
-        if self.store is not None:
-            self.store.checkpoint(group, seqno, snapshot)
-
-    # truncate_wal: inherited no-op — GroupStore.checkpoint already
-    # rotates segments (see the EffectBackend contract).
-
-    # -- EffectBackend: notify and lifecycle --------------------------------------
-
-    def notify(self, kind: str, payload: Any) -> None:
-        self.stats.notifications += 1
-        for handler in self._notify_handlers:
-            handler(kind, payload)
+    # -- EffectBackend: lifecycle ---------------------------------------------------
 
     def shutdown(self, reason: str) -> None:
         self.crash()
@@ -521,9 +450,7 @@ class SimHost(EffectBackend):
             return
         self.alive = False
         self.core = None
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        self._cancel_timers()
         self._channels.clear()
         self._conn_ids.clear()
         self._outboxes.clear()

@@ -1,13 +1,15 @@
-"""Sharded simulated host: per-shard CPU lanes under the cost model.
+"""Sharded simulated host: the kernel/``CpuLanes`` driver.
 
-The deterministic mirror of :class:`repro.runtime.shard.ShardedHost`.
-The same front core (:class:`~repro.runtime.shard.ShardSessions`) runs
-on the host's lane 0 and charges ``recv_cost`` for every inbound frame;
-each shard worker owns lane ``1 + index`` of a :class:`CpuLanes`, its
-own :class:`~repro.core.server.ServerCore` + interpreter, and (when
-persistence is on) its own real :class:`~repro.storage.GroupStore`.
-Mailbox items post through the kernel at zero delay — insertion-order
-tie-breaking keeps every mailbox FIFO and every run reproducible.
+The sharding design itself is :mod:`repro.runtime.sharding` — the very
+:class:`~repro.runtime.sharding.ShardFront`, sessions core and worker
+item protocol the asyncio driver (:mod:`repro.runtime.shard`) runs.
+This module supplies the simulated loops and the cost model: the front
+runs on the host's lane 0 and charges ``recv_cost`` for every inbound
+frame; each shard worker owns lane ``1 + index`` of a
+:class:`CpuLanes`, and (when persistence is on) its own real
+:class:`~repro.storage.GroupStore`.  Mailbox items post through the
+kernel at zero delay — insertion-order tie-breaking keeps every mailbox
+FIFO and every run reproducible.
 
 While a worker processes an item the host's active lane is switched to
 the worker's, so the fan-out ``send_cost`` and WAL charges land on the
@@ -21,30 +23,21 @@ host's and the host-parity suite can compare them field by field.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.clock import Clock
-from repro.core.interpreter import DispatchStats, Middleware
+from repro.core.interpreter import Middleware
 from repro.core.scheduler import stable_lane
 from repro.core.server import ServerConfig
-from repro.runtime.shard import (
-    ShardRouter,
-    ShardSessions,
-    ShardWorkerBase,
-    aggregate_stats,
-    shard_config,
-)
-from repro.sim.host import SimHost
+from repro.runtime.sharding import ShardFront, ShardWorkerBase, front_middlewares
+from repro.sim.host import SimCosts, SimHost
 from repro.sim.kernel import CpuLanes, EventHandle, SimKernel
 from repro.sim.network import SimNetwork
 from repro.sim.profiles import HostProfile
 from repro.storage.store import GroupStore, RecoveredGroup
-from repro.wire.messages import (
-    BcastStateRequest,
-    BcastUpdateRequest,
-    GroupInfo,
-)
+from repro.wire.messages import BcastStateRequest, BcastUpdateRequest
 
 __all__ = ["ShardedSimHost"]
 
@@ -54,7 +47,7 @@ __all__ = ["ShardedSimHost"]
 _WINDOW_OPENERS = (BcastStateRequest, BcastUpdateRequest)
 
 
-class _SimShardWorker(ShardWorkerBase):
+class _SimShardWorker(SimCosts, ShardWorkerBase):
     """One shard under simulation: CPU lane ``1 + index`` plus a private
     store; work arrives via kernel events posted by the front."""
 
@@ -66,28 +59,15 @@ class _SimShardWorker(ShardWorkerBase):
         clock: Clock,
         recovered: dict[str, RecoveredGroup] | None,
         store: GroupStore | None,
+        race_recorder: Any = None,
     ) -> None:
-        self._host = host
-        self.store = store
+        super().__init__(host, index, config, clock, recovered, store, race_recorder)
         self.lane = 1 + index
-        self._recorder = host.race_recorder
-        self._lane_name = f"shard{index}"
-        middlewares: tuple[Middleware, ...] = ()
-        if self._recorder is not None:
-            # wire=False: shard sends relay through the front unencoded
-            middlewares = (
-                self._recorder.middleware(self._lane_name, wire=False),
-            )
-        self._init_worker(index, config, clock, recovered, middlewares)
-        # -- optimistic-scheduler mirror (repro.core.scheduler) --------
+        # -- optimistic-scheduler model (repro.core.scheduler) ---------
         self._sched = self.core.scheduler
         self._exec_lanes = max(0, config.exec_lanes)
         #: First CpuLanes index of this shard's execution lanes.
         self._exec_base = 1 + host.shards + index * self._exec_lanes
-        if self._sched is not None:
-            self._sched.stats = self.interpreter.stats
-            if self._recorder is not None:
-                self._sched.bind_recorder(self._recorder, self._lane_name)
         #: Monotonic window id; a scheduled flush event for a window that
         #: already closed (force-flush or barrier) sees a newer id and
         #: no-ops, so every window flushes exactly once.
@@ -97,29 +77,36 @@ class _SimShardWorker(ShardWorkerBase):
         #: window just flushed; placement floors fan-out charges on it.
         self._exec_done: dict[tuple, float] = {}
         self._conflicted: set[tuple] = set()
-        self._timers: dict[str, EventHandle] = {}
         #: Mailbox backlog gauge for the topology controller: the front
         #: increments at post, ``process`` decrements on delivery.
         self.queued = 0
-        #: Set by :meth:`close` (shard restart / host crash): events
+        #: Set by :meth:`stop` (shard restart / host crash): events
         #: already scheduled against this worker object become no-ops,
         #: the modeled version of a dead thread's mailbox draining into
         #: the void.
         self.closed = False
 
+    @property
+    def _machine(self) -> SimHost:
+        return self._host  # costs land on the host's lanes and disk
+
     # -- mailbox ---------------------------------------------------------
+
+    def post(self, item: Any) -> None:
+        # Zero-delay kernel events; insertion-order tie-breaking makes
+        # this a deterministic FIFO mailbox per shard.  The event is
+        # bound to this worker object: items posted before a restart die
+        # with the old worker (its ``closed`` flag), like a dead
+        # thread's mailbox.
+        self.queued += 1
+        self._host.kernel.schedule(0.0, self.process, item)
 
     def process(self, item: tuple) -> None:
         """Handle one mailbox item on this shard's CPU lane."""
         self.queued = max(0, self.queued - 1)
         if self.closed or not self._host.alive:
             return
-        if type(item) is tuple and item and item[0] == "traced":
-            _, token, item = item
-            if self._recorder is not None:
-                self._recorder.recv(
-                    self._lane_name, f"mbox:{self._lane_name}", token
-                )
+        item = self._unwrap(item)
         prev = self._host._lane
         self._host._lane = self.lane
         try:
@@ -141,6 +128,19 @@ class _SimShardWorker(ShardWorkerBase):
                 self._flush_window(self._generation)
         finally:
             self._host._lane = prev
+
+    @contextmanager
+    def _on_lane(self) -> Iterator[None]:
+        """Charge everything inside to this shard's home lane, not the
+        front's (the per-item paths above and below inline the same
+        save/restore: a generator per mailbox item is measurable)."""
+        host = self._host
+        prev = host._lane
+        host._lane = self.lane
+        try:
+            yield
+        finally:
+            host._lane = prev
 
     # -- speculation windows ----------------------------------------------
 
@@ -173,18 +173,16 @@ class _SimShardWorker(ShardWorkerBase):
             or generation != self._generation
         ):
             return
-        prev = host._lane
-        host._lane = self.lane
         self._spreading = True
         try:
-            effects = self.core.end_batch()
-            self._charge_window(self._sched.last_flush)
-            self.interpreter.execute(effects)
+            with self._on_lane():
+                effects = self.core.end_batch()
+                self._charge_window(self._sched.last_flush)
+                self.interpreter.execute(effects)
         finally:
             self._spreading = False
             self._exec_done = {}
             self._conflicted = set()
-            host._lane = prev
         # a barrier mid-batch may have closed and reopened the window;
         # bumping the generation here would orphan that reopened window,
         # so only the guard above (active flag) handles reentry
@@ -219,7 +217,7 @@ class _SimShardWorker(ShardWorkerBase):
                 stats.commit_stalls += 1
                 lanes.stall(self.lane, done)
 
-    def _placement(self, conn: int, messages: tuple) -> tuple[int, float]:
+    def _placement(self, conn: int, messages: list) -> tuple[int, float]:
         """CPU lane + earliest-start floor for relaying *messages*.
 
         While a flushed window's effects drain, pure ``Delivery`` runs
@@ -252,56 +250,23 @@ class _SimShardWorker(ShardWorkerBase):
 
     # -- EffectBackend: sends (relayed through the front sessions) --------
 
-    def _to_front(self, fn: Any) -> None:
-        """Relay *fn* to the front sessions core, recording the hop when
-        a race recorder is attached (the closure runs front-side)."""
-        token = 0
-        if self._recorder is not None:
-            token = self._recorder.send(self._lane_name, "mbox:front")
-        self._host.run_front(fn, token)
-
-    def deliver(self, conn: int, message: Any) -> bool:
-        if conn not in self.conns:
-            return False
-        lane, floor = self._placement(conn, (message,))
-        host = self._host
-        prev_lane, prev_floor = host._lane, host._exec_floor
-        host._lane, host._exec_floor = lane, floor
-        try:
-            self._to_front(
-                lambda: self._host.sessions.shard_reply(conn, message)
-            )
-        finally:
-            host._lane, host._exec_floor = prev_lane, prev_floor
-        return True
-
     def deliver_batch(self, conn: int, messages: list[Any]) -> bool:
-        if conn not in self.conns:
-            return False
-        lane, floor = self._placement(conn, tuple(messages))
+        # the front's fan-out charges land where the model says this
+        # shard would have done the work
         host = self._host
-        prev_lane, prev_floor = host._lane, host._exec_floor
-        host._lane, host._exec_floor = lane, floor
+        prev = host._lane, host._exec_floor
+        host._lane, host._exec_floor = self._placement(conn, messages)
         try:
-            self._to_front(
-                lambda: self._host.sessions.shard_reply_batch(conn, messages)
-            )
+            return super().deliver_batch(conn, messages)
         finally:
-            host._lane, host._exec_floor = prev_lane, prev_floor
-        return True
-
-    def fragment_to_front(
-        self, conn: int, request_id: int, infos: tuple[GroupInfo, ...]
-    ) -> None:
-        self._to_front(
-            lambda: self._host.sessions.list_fragment(conn, request_id, infos)
-        )
+            host._lane, host._exec_floor = prev
 
     def migration_event_to_front(self, method: str, *args: Any) -> None:
-        # Scheduled (not run inline) so the relay lands as its own kernel
-        # event, exactly like call_soon_threadsafe on the asyncio host —
-        # chaos tests rely on these deterministic preemption points to
-        # interleave crashes and commands mid-migration.
+        # Scheduled (not relayed inline like the sends above) so the
+        # event lands as its own kernel event, exactly like
+        # call_soon_threadsafe on the asyncio host — chaos tests rely on
+        # these deterministic preemption points to interleave crashes
+        # and commands mid-migration.
         host = self._host
         delay = 0.0
         if method == "migration_snapshot":
@@ -312,7 +277,7 @@ class _SimShardWorker(ShardWorkerBase):
             delay = host.profile.send_cost(args[2].size_bytes())
         token = 0
         if self._recorder is not None:
-            token = self._recorder.send(self._lane_name, "mig:front")
+            token = self._recorder.send(self._race_lane, "mig:front")
         fn = lambda: getattr(host.sessions, method)(*args)  # noqa: E731
         host.kernel.schedule(delay, host.run_front, fn, token)
 
@@ -325,95 +290,40 @@ class _SimShardWorker(ShardWorkerBase):
 
     # -- EffectBackend: timers --------------------------------------------
 
-    def start_timer(self, key: str, delay: float) -> None:
-        existing = self._timers.pop(key, None)
-        if existing is not None:
-            existing.cancel()
-        self._timers[key] = self._host.kernel.schedule(delay, self._fire_timer, key)
-
-    def cancel_timer(self, key: str) -> None:
-        handle = self._timers.pop(key, None)
-        if handle is not None:
-            handle.cancel()
+    def call_later(
+        self, delay: float, fn: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        return self._host.kernel.schedule(delay, fn, *args)
 
     def _fire_timer(self, key: str) -> None:
         self._timers.pop(key, None)
         if self.closed or not self._host.alive:
             return
-        prev = self._host._lane
-        self._host._lane = self.lane
-        try:
+        with self._on_lane():
             self._host._occupy_cpu(self._host.profile.timer_overhead)
             self.interpreter.execute(self.core.on_timer(key))
-        finally:
-            self._host._lane = prev
 
-    # -- EffectBackend: connections ---------------------------------------
+    # -- lifecycle ----------------------------------------------------------
 
-    def open_connection(self, address: Any, key: str) -> None:
-        pass  # shard cores never dial
-
-    def close_connection(self, conn: int) -> None:
-        # Stale-connection close from the shard core: the front owns the
-        # real channel; just stop delivering from this shard.
-        self.conns.discard(conn)
-
-    # -- EffectBackend: storage (shard lane + shared simulated disk) ------
-
-    def create_group_storage(self, group: str, meta: bytes) -> None:
-        self._host.disk.write(len(meta))
-        if self.store is not None and not self.store.has_group(group):
-            self.store.create_group(group, meta)
-
-    def purge_group_storage(self, group: str) -> None:
-        if self.store is not None:
-            self.store.delete_group(group)
-
-    def append_wal(self, group: str, seqno: int, record: bytes) -> None:
-        host = self._host
-        host.stats.wal_appends += 1
-        host._occupy_cpu(host.profile.log_overhead)
-        done = host.disk.write(len(record) + 8, earliest=host._cpu_free)
-        if host.sync_logging:
-            host._cpu_free = max(host._cpu_free, done)
-        if self.store is not None:
-            self.store.append(group, seqno, record)
-
-    def append_wal_many(self, group: str, records: list[tuple[int, bytes]]) -> None:
-        host = self._host
-        host.stats.wal_appends += len(records)
-        host._occupy_cpu(host.profile.log_overhead)
-        total = sum(len(record) + 8 for _seqno, record in records)
-        done = host.disk.write(total, earliest=host._cpu_free)
-        if host.sync_logging:
-            host._cpu_free = max(host._cpu_free, done)
-        if self.store is not None:
-            self.store.append_many(group, records)
-
-    def write_checkpoint(self, group: str, seqno: int, snapshot: bytes) -> None:
-        self._host.disk.write(len(snapshot))
-        if self.store is not None:
-            self.store.checkpoint(group, seqno, snapshot)
-
-    # -- EffectBackend: notify / lifecycle --------------------------------
-
-    def notify(self, kind: str, payload: Any) -> None:
-        self._host.notify(kind, payload)
-
-    def shutdown(self, reason: str) -> None:
-        self._host.shutdown(reason)
-
-    def close(self) -> None:
+    def stop(self) -> None:
         self.closed = True
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        self._cancel_timers()
         if self.store is not None:
             self.store.close()
+        # the crash drops whatever CPU work the lanes had queued
+        host = self._host
+        host._lanes.set_free(self.lane, host.kernel.now())
+        for k in range(self._exec_lanes):
+            host._lanes.set_free(self._exec_base + k, host.kernel.now())
 
 
-class ShardedSimHost(SimHost):
+class ShardedSimHost(ShardFront, SimHost):
     """One simulated machine with a front lane and N shard lanes."""
+
+    #: Every lane runs on the kernel's one thread, so harness and tests
+    #: may look inside a worker; the narrowed type tells deepcheck so.
+    worker_class = _SimShardWorker
+    workers: list[_SimShardWorker]
 
     def __init__(
         self,
@@ -428,19 +338,16 @@ class ShardedSimHost(SimHost):
         sync_logging: bool = False,
         middlewares: Iterable[Middleware] = (),
         core_clock: Clock | None = None,
-        vnodes: int = 64,
         race_recorder: Any = None,
         flow: Any = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        #: Optional repro.analysis.racecheck.RaceRecorder, duck-typed;
-        #: must be set before the workers below capture it.
-        self.race_recorder = race_recorder
-        front_middlewares = tuple(middlewares)
-        if race_recorder is not None:
-            front_middlewares += (race_recorder.middleware("front"),)
-        super().__init__(
+        ShardFront.__init__(
+            self, config, shards,
+            core_clock if core_clock is not None else kernel,
+            store_root, race_recorder,
+        )
+        SimHost.__init__(
+            self,
             kernel,
             network,
             host_id,
@@ -448,176 +355,31 @@ class ShardedSimHost(SimHost):
             profile,
             store=None,  # storage is per shard, not host-wide
             sync_logging=sync_logging,
-            middlewares=front_middlewares,
+            middlewares=front_middlewares(middlewares, race_recorder),
             flow=flow,
         )
-        self.config = config
-        self.shards = shards
         # lane 0 = front, lanes 1..shards = worker home lanes, then
         # exec_lanes modeled execution lanes per shard for the
         # optimistic intra-group scheduler
         exec_lanes = max(0, config.exec_lanes)
         self._lanes = CpuLanes(1 + shards + shards * exec_lanes)
-        self.router = ShardRouter(shards, vnodes=vnodes)
-        clock = core_clock if core_clock is not None else kernel
-        self.sessions = ShardSessions(config, clock, self.router, shards, self._post_item)
+        # the sessions core runs on lane 0
         self.set_core(self.sessions)
-        root = Path(store_root) if store_root is not None else None
-        self._store_root = root
-        self._core_clock = clock
-        self._retired: list[DispatchStats] = []
-        self.workers: list[_SimShardWorker] = []
-        for index in range(shards):
-            self.workers.append(self._build_worker(index))
-        self._seed_pins()
+        self.start_workers()
 
-    def _build_worker(self, index: int) -> _SimShardWorker:
-        store: GroupStore | None = None
-        recovered: dict[str, RecoveredGroup] | None = None
-        persists = self.config.stateful and self.config.persist
-        if persists and self._store_root is not None:
-            store = GroupStore(self._store_root / f"shard{index}")
-            recovered = store.recover_all()
-        return _SimShardWorker(
-            self,
-            index,
-            shard_config(self.config, index),
-            self._core_clock,
-            recovered,
-            store,
-        )
+    # -- ShardFront hooks (alive is SimHost's) ------------------------------
 
-    def _seed_pins(self) -> None:
-        """Lease recovered groups living away from their natural ring
-        owner, so post-restart routing matches where the data is."""
-        for worker in self.workers:
-            self._seed_pins_for(worker)
-
-    def _seed_pins_for(self, worker: _SimShardWorker) -> None:
-        # recovered_groups is the immutable snapshot _init_worker
-        # published — the front never reads the live shard core
-        for name in worker.recovered_groups:
-            lease = self.router.lease(name)
-            if lease is not None and lease != worker.index:
-                # the lease moved while this shard was down: the holder
-                # is authoritative, the recovered copy is a stale replica
-                self._post_item(worker.index, ("migrate_discard", name, None))
-            elif lease is None and self.router.natural(name) != worker.index:
-                self.router.pin(name, worker.index)
-
-    # -- routing plumbing -------------------------------------------------
-
-    def _post_item(self, shard: int, item: tuple) -> None:
-        # Zero-delay kernel events; insertion-order tie-breaking makes
-        # this a deterministic FIFO mailbox per shard.  The worker object
-        # is bound at post time: items posted before a restart die with
-        # the old worker (its ``closed`` flag), like a dead thread's
-        # mailbox.
-        if self.race_recorder is not None:
-            label = "mig" if item[0].startswith("migrate_") else "mbox"
-            token = self.race_recorder.send("front", f"{label}:shard{shard}")
-            item = ("traced", token, item)
-        worker = self.workers[shard]
-        worker.queued += 1
-        self.kernel.schedule(0.0, worker.process, item)
-
-    def run_front(self, fn: Any, token: int = 0) -> None:
-        """Run a sessions-core method and execute what it emitted through
-        the front interpreter (the sim analogue of ``call_front``).
-        *token* carries the race-recorder hop id when tracing is on."""
-        if not self.alive:
-            return
-        if token and self.race_recorder is not None:
-            self.race_recorder.recv("front", "mbox:front", token)
-        fn()
-        self.interpreter.execute(self.sessions.drain())
-
-    # -- stats ------------------------------------------------------------
-
-    @property
-    def dispatch_stats(self) -> DispatchStats:
-        """Aggregated counters: front interpreter + every shard's
-        (including retired workers from shard restarts)."""
-        parts = [self.interpreter.stats]
-        parts.extend(w.interpreter.stats for w in self.workers)
-        parts.extend(self._retired)
-        return aggregate_stats(parts)
-
-    # -- elastic topology --------------------------------------------------
-
-    def migrate_group(self, group: str, dst: int) -> None:
-        """Begin a live migration of *group* onto shard *dst* — the
-        deterministic mirror of :meth:`ShardedHost.migrate_group`."""
-        self.run_front(lambda: self.sessions.begin_migration(group, dst))
-
-    def drain_shard(self, index: int) -> None:
-        self.router.drain(index)
-
-    def undrain_shard(self, index: int) -> None:
-        self.router.undrain(index)
-
-    def restart_shard(self, index: int) -> _SimShardWorker:
-        """Crash-restart one shard deterministically: the old worker's
-        pending events become no-ops, its store is recovered into a
-        fresh core, and in-flight migrations it was part of abort with
-        ownership staying where the lease says."""
-        old = self.workers[index]
-        old.close()
-        self._retired.append(old.interpreter.stats)  # noqa: SHARD001
-        # the crash drops whatever CPU work the lanes had queued
-        self._lanes.set_free(old.lane, self.kernel.now())
-        for k in range(old._exec_lanes):
-            self._lanes.set_free(old._exec_base + k, self.kernel.now())
-        self.sessions.forget_shard(index)
-        worker = self._build_worker(index)
-        self.workers[index] = worker
-        self._seed_pins_for(worker)
-        # after the fresh worker is reachable: unwind in-flight
-        # migrations (buffered commands may replay onto it)
-        self.sessions.abort_migrations_for_shard(index)
-        self.interpreter.execute(self.sessions.drain())
-        return worker
+    def call_front(self, fn: Callable[[], None], token: int = 0) -> None:
+        # inline: a worker's relay is part of the worker's own kernel
+        # event, so the front's send charges land on the lane the worker
+        # selected (see _SimShardWorker.deliver_batch)
+        self.run_front(fn, token)
 
     def start_controller(self, config: Any = None, ticks: int = 8) -> Any:
-        """Drive a :class:`~repro.runtime.topology.TopologyController`
-        from the kernel: one observation every ``sample_interval``
-        virtual seconds, *ticks* times.  Bounded by construction — an
-        open-ended repeating event would keep ``kernel.run()`` from ever
-        draining."""
-        from repro.runtime.topology import (
-            TopologyConfig,
-            TopologyController,
-            sample_workers,
-        )
-
-        controller = TopologyController(config or TopologyConfig())
-
-        def tick(remaining: int) -> None:
-            if not self.alive or remaining <= 0:
-                return
-            actions = controller.observe(sample_workers(self.workers))
-            self.apply_topology_actions(actions)
-            self.kernel.schedule(
-                controller.config.sample_interval, tick, remaining - 1
-            )
-
-        self.kernel.schedule(controller.config.sample_interval, tick, ticks)
-        return controller
-
-    def apply_topology_actions(self, actions: Iterable[Any]) -> None:
-        """Apply controller decisions (same semantics as the asyncio
-        host's; restarts use the deterministic sim restart)."""
-        from repro.runtime.topology import MigrateGroup, RestartShard
-
-        for action in actions:
-            if isinstance(action, MigrateGroup):
-                try:
-                    self.sessions.begin_migration(action.group, action.dst)
-                    self.interpreter.execute(self.sessions.drain())
-                except ValueError:
-                    pass  # raced a concurrent migration/drain; next cycle
-            elif isinstance(action, RestartShard):
-                self.restart_shard(action.shard)
+        """As :meth:`ShardFront.start_controller`, but bounded by
+        default — an open-ended repeating event would keep
+        ``kernel.run()`` from ever draining."""
+        return super().start_controller(config, ticks)
 
     # -- failure ----------------------------------------------------------
 
@@ -625,5 +387,5 @@ class ShardedSimHost(SimHost):
         if not self.alive:
             return
         for worker in self.workers:
-            worker.close()
+            worker.stop()
         super().crash()

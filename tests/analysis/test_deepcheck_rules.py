@@ -121,6 +121,52 @@ class Front:
         )
         assert findings == []
 
+    BASE_TYPED = """
+import threading
+
+class Core:
+    def __init__(self):
+        self.items = []
+
+class Base:
+    def __init__(self):
+        self.core = Core()
+
+class Threaded(Base):
+    def __init__(self):
+        self._thread = threading.Thread()
+"""
+
+    def test_fires_through_a_base_typed_worker_list(self):
+        # a backend-free front holds its workers as list[Base]; an
+        # element may be the threaded subclass all the same
+        findings = deep(
+            rules=("SHARD001",),
+            repro__w=self.BASE_TYPED + """
+class Front:
+    workers: list[Base]
+    def snoop(self):
+        return self.workers[0].core
+""",
+        )
+        assert rule_ids(findings) == ["SHARD001"]
+        assert "Base.core" in findings[0].message
+
+    def test_silent_on_a_base_the_front_shares_with_its_workers(self):
+        # plumbing both sides inherit is not a worker type: a reference
+        # typed as it says nothing about which thread owns the object
+        findings = deep(
+            rules=("SHARD001",),
+            repro__w=self.BASE_TYPED + """
+class Front(Base):
+    workers: list[Threaded]
+
+def peek(backend: Base):
+    return backend.core
+""",
+        )
+        assert findings == []
+
     def test_silent_inside_the_worker_itself(self):
         findings = deep(
             rules=("SHARD001",),

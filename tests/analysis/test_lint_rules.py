@@ -212,50 +212,6 @@ class TestPERF001FanoutEncode:
         assert rule_ids(src, path=self.FANOUT) == []
 
 
-class TestPERF002RuntimesAccess:
-    def test_fires_on_cross_module_runtimes_read(self):
-        src = (
-            "def peek(core, group):\n"
-            "    return core.runtimes[group].log\n"
-        )
-        assert "PERF002" in rule_ids(src)
-
-    def test_fires_on_runtimes_iteration(self):
-        src = (
-            "def names(core):\n"
-            "    return sorted(core.runtimes)\n"
-        )
-        assert "PERF002" in rule_ids(src, path="src/repro/bench/experiments.py")
-
-    def test_silent_in_owning_modules(self):
-        src = (
-            "def dispatch(self, group):\n"
-            "    return self.runtimes[group]\n"
-        )
-        for owner in (
-            "src/repro/core/server.py",
-            "src/repro/core/group_runtime.py",
-            "src/repro/replication/node.py",
-            "src/repro/runtime/shard.py",
-            "src/repro/sim/shard.py",
-        ):
-            assert "PERF002" not in rule_ids(src, path=owner), owner
-
-    def test_silent_on_other_attributes(self):
-        src = (
-            "def sizes(core):\n"
-            "    return {g.name: len(g) for g in core.groups.values()}\n"
-        )
-        assert "PERF002" not in rule_ids(src)
-
-    def test_noqa_suppresses(self):
-        src = (
-            "def peek(core):\n"
-            "    return core.runtimes  # corona: noqa(PERF002)\n"
-        )
-        assert "PERF002" not in rule_ids(src)
-
-
 class TestPERF003UnboundedOutbox:
     #: A module on the server send path (PERF003 is include-scoped).
     HOST = "src/repro/runtime/host.py"

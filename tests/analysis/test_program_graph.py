@@ -204,6 +204,9 @@ class TestRepoGraph:
         assert graph.class_attr_type(
             "repro.runtime.shard._ShardWorker", "_thread"
         ) == TypeRef("threading.Thread")
+        # the shared front holds its workers as the backend-free base
+        # (resolved through ShardedHost's mro)
         workers = graph.class_attr_type("repro.runtime.shard.ShardedHost", "workers")
         assert workers is not None and workers.base == "builtins.list"
-        assert workers.elem == "repro.runtime.shard._ShardWorker"
+        assert workers.elem == "repro.runtime.sharding.ShardWorkerBase"
+        assert "repro.runtime.shard._ShardWorker" in graph.subclasses(workers.elem)

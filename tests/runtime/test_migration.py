@@ -179,7 +179,7 @@ class TestEpochFence:
             request_id=999_001, group=group, object_id="doc", data=b"stale"
         )
         before = host.dispatch_stats.stale_epoch_rejects
-        host._post_item(dst, ("message", conn, stale, 0))
+        host.post(dst, ("message", conn, stale, 0))
         world.run()
         assert host.dispatch_stats.stale_epoch_rejects == before + 1
         # decisively: the stale command was NOT applied by the new owner

@@ -1,9 +1,12 @@
-"""Sharded host parity: one client script, two sharded backends.
+"""Sharded host parity: one client script, two drivers.
 
-The sharded asyncio runtime (:class:`repro.runtime.shard.ShardedHost`)
-and its simulated mirror (:class:`repro.sim.shard.ShardedSimHost`) share
-the front sessions core, the router, and the per-shard server cores.
-Driving the same serialized client script through both must produce:
+The asyncio/thread driver (:class:`repro.runtime.shard.ShardedHost`) and
+the simulator's (:class:`repro.sim.shard.ShardedSimHost`) run the same
+:class:`~repro.runtime.sharding.ShardFront`, sessions core, router and
+shard workers.  Driving the same serialized script through both —
+client requests plus front operations (a committed live migration, then
+a second one whose destination is restarted after it installed the
+group) — must produce:
 
 * identical aggregated :class:`DispatchStats` (front + every shard),
 * identical reply payloads (scatter-gathered ListGroups included),
@@ -14,8 +17,7 @@ disk, so the comparisons are exact.
 """
 
 import asyncio
-
-import pytest
+import time
 
 from repro.core.server import ServerConfig
 from repro.net.tcp import TcpTransport
@@ -48,6 +50,17 @@ SCRIPT = (
         ("bob", "get_membership", (GROUPS[0],)),
         ("bob", "leave_group", (GROUPS[0],)),
         ("alice", "delete_group", (GROUPS[3],)),
+        # front operations (client "@front"): the shard arguments are
+        # offsets from the group's current owner
+        ("@front", "migrate", (GROUPS[1], 1)),
+        ("alice", "bcast_update", (GROUPS[1], "doc", b"moved")),
+        # the destination installs the group, then is restarted before
+        # the front commits: the migration aborts back to the owner, and
+        # the restarted shard finds a copy in its store whose lease
+        # points elsewhere — a stale replica it must discard
+        ("@front", "migrate_restart_dst", (GROUPS[1], 1)),
+        ("alice", "bcast_update", (GROUPS[1], "doc", b"still here")),
+        ("alice", "list_groups", ()),
     ]
 )
 
@@ -93,6 +106,16 @@ def _drive_asyncio(root):
         }
         replies = []
         for name, method, args in SCRIPT:
+            if name == "@front":
+                group, offset = args
+                dst = (host.router.route(group) + offset) % SHARDS
+                if method == "migrate_restart_dst":
+                    _restart_once_installed(host, group, dst)
+                host.migrate_group(group, dst)
+                while host.sessions.migrations():
+                    await asyncio.sleep(0.01)
+                replies.append(_front_outcome(host))
+                continue
             result = await getattr(clients[name], method)(*args)
             replies.append(_normalize(method, result))
         # replies are answered before trailing membership notifications
@@ -108,6 +131,31 @@ def _drive_asyncio(root):
     return asyncio.run(main())
 
 
+def _restart_once_installed(host, group, dst):
+    """Arm *host* (asyncio) to restart shard *dst* in the front-loop
+    turn that streams *group*'s snapshot to it: wait (blocking the front
+    loop, so the destination's ``migration_installed`` relay queues up
+    behind us) until the destination published the group, then restart
+    it — the state the sim reaches by stepping its kernel."""
+    relay = host.sessions.migration_snapshot
+
+    def hooked(*args):
+        del host.sessions.migration_snapshot
+        relay(*args)
+        deadline = time.monotonic() + 10
+        while group not in host.workers[dst].owned_groups:
+            assert time.monotonic() < deadline, "destination never installed"
+            time.sleep(0.001)
+        host.restart_shard(dst)
+
+    host.sessions.migration_snapshot = hooked
+
+
+def _front_outcome(host):
+    record = host.sessions.migration_log[-1]
+    return ("@front", record.group, record.outcome, host.router.epoch(record.group))
+
+
 def _drive_sim(root):
     world = CoronaWorld()
     server = world.add_sharded_server(
@@ -118,14 +166,25 @@ def _drive_sim(root):
     )
     clients = {name: world.add_client(client_id=name) for name in ("alice", "bob")}
     world.run()
+    host = server.host
     replies = []
     for name, method, args in SCRIPT:
+        if name == "@front":
+            group, offset = args
+            dst = (host.router.route(group) + offset) % SHARDS
+            host.migrate_group(group, dst)
+            if method == "migrate_restart_dst":
+                while group not in host.workers[dst].owned_groups:
+                    assert world.kernel.step(), "destination never installed"
+                host.restart_shard(dst)
+            world.run()
+            replies.append(_front_outcome(host))
+            continue
         call = clients[name].call(method, *args)
         world.run()
         assert call.ok, f"{method}{args} failed: {call.error}"
         replies.append(_normalize(method, call.value))
-    stats = server.host.dispatch_stats
-    host = server.host
+    stats = host.dispatch_stats
     for worker in host.workers:
         if worker.store is not None:
             worker.store.close()
@@ -147,8 +206,16 @@ class TestShardedParity:
         a_rec = _recover_shards(tmp_path / "a")
         s_rec = _recover_shards(tmp_path / "s")
         assert a_rec == s_rec
-        persisted = {name for shard in a_rec.values() for name in shard}
-        assert persisted == set(GROUPS[:3]), "deleted group must be purged"
+        persisted = [name for shard in a_rec.values() for name in shard]
+        assert sorted(persisted) == GROUPS[:3], (
+            "deleted group purged, migrated group stored exactly once"
+        )
+        # the front operations did what the script says, on both drivers
+        fronts = [r for r in a_replies if isinstance(r, tuple) and r[:1] == ("@front",)]
+        assert [r[1:] for r in fronts] == [
+            (GROUPS[1], "committed", 1), (GROUPS[1], "aborted", 1),
+        ]
+        assert a_stats.migrations_in == 2 and a_stats.migration_aborts == 1
 
     def test_sim_script_is_deterministic(self, tmp_path):
         first_stats, first_replies = _drive_sim(tmp_path / "one")

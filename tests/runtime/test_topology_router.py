@@ -11,13 +11,21 @@ oracle is a dict.
 The controller tests feed synthetic :class:`ShardSample` rounds and
 check the three rules (restart wedged > split hot > merge idle), the
 cooldown hysteresis, and that wedge detection keeps counting *through*
-a cooldown.
+a cooldown.  ``TestControllerDrive`` then runs the loop for real through
+``ShardFront.start_controller`` / ``apply_topology_actions`` on both
+drivers.
 """
+
+import asyncio
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.shard import ShardRouter
+from repro.core.server import ServerConfig
+from repro.net.tcp import TcpTransport
+from repro.runtime.client import CoronaClient
+from repro.runtime.shard import ShardedHost, ShardRouter
+from repro.sim.harness import CoronaWorld
 from repro.runtime.topology import (
     MigrateGroup,
     RestartShard,
@@ -193,3 +201,91 @@ class TestControllerRules:
         for _ in range(10):
             assert ctrl.observe(_quiet(3)) == []
         assert ctrl.decisions == []
+
+
+# ---------------------------------------------------------------------------
+# the control loop, driven for real: ShardFront.start_controller on both
+# drivers (one implementation; the driver only supplies call_later)
+# ---------------------------------------------------------------------------
+
+DRIVE_GROUPS = [f"drive-{i}" for i in range(6)]
+
+
+def _occupied(host):
+    return {host.router.route(group) for group in DRIVE_GROUPS}
+
+
+class TestControllerDrive:
+    def test_sim_ticks_are_bounded_and_actions_are_applied(self):
+        world = CoronaWorld()
+        server = world.add_sharded_server(shards=2)
+        alice = world.add_client(client_id="alice")
+        world.run()
+        for group in DRIVE_GROUPS:
+            alice.call("create_group", group, False)
+            world.run()
+        host = server.host
+        assert _occupied(host) == {0, 1}, "need groups on both shards"
+        before = {group: host.router.route(group) for group in DRIVE_GROUPS}
+        controller = host.start_controller(
+            TopologyConfig(sample_interval=0.5, merge_max_groups=len(DRIVE_GROUPS)),
+            ticks=3,
+        )
+        world.run()  # drains: the tick count bounds the repeating event
+        # an idle two-shard topology merges: one migration decided on the
+        # first tick, then the cooldown holds for the remaining two
+        assert len(controller.decisions) == 1
+        (action,) = controller.decisions
+        assert isinstance(action, MigrateGroup)
+        record = host.sessions.migration_log[-1]
+        assert (record.group, record.outcome) == (action.group, "committed")
+        assert host.router.route(action.group) == action.dst != before[action.group]
+
+    def test_sim_restart_action_replaces_the_worker(self):
+        world = CoronaWorld()
+        host = world.add_sharded_server(shards=2).host
+        old = host.workers[1]
+        home = host.router.route("ghost")
+        host.apply_topology_actions(
+            [RestartShard(1), MigrateGroup("ghost", home, home)]
+        )
+        world.run()
+        assert host.workers[1] is not old and old.closed
+        # the rejected migration (the group already lives there) is
+        # swallowed, not raised: the controller retries next cycle
+        assert host.sessions.migration_log == []
+
+    def test_asyncio_controller_runs_until_stop(self):
+        async def main():
+            host = ShardedHost(
+                ServerConfig(server_id="server", persist=False),
+                TcpTransport(), shards=2,
+            )
+            address = await host.listen(("127.0.0.1", 0))
+            alice = await CoronaClient.connect(address, "alice")
+            for group in DRIVE_GROUPS:
+                await alice.create_group(group, persistent=False)
+            assert _occupied(host) == {0, 1}
+            controller = host.start_controller(
+                TopologyConfig(
+                    sample_interval=0.02, merge_max_groups=len(DRIVE_GROUPS)
+                )
+            )
+            deadline = asyncio.get_running_loop().time() + 5.0
+            while not host.sessions.migration_log:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.01)
+            record = host.sessions.migration_log[0]
+            assert record.outcome == "committed"
+            assert controller.decisions[0].group == record.group
+            old = host.workers[0]
+            host.apply_topology_actions([RestartShard(0)])
+            assert host.workers[0] is not old and not old._thread.is_alive()
+            await alice.close()
+            await host.stop()
+            assert host._controller_timer is None
+            ticks = len(controller.decisions)
+            await asyncio.sleep(0.1)
+            assert len(controller.decisions) == ticks, "ticked after stop"
+
+        asyncio.run(main())

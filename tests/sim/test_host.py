@@ -316,7 +316,7 @@ class TestNotify:
         host.invoke(core.fire)
         kernel.run()
         assert events == [("update", {"x": 1})]
-        assert host.stats.notifications == 1
+        assert host.dispatch_stats.notifications == 1
 
 
 class TestCrashRestart:
