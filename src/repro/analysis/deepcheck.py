@@ -17,11 +17,14 @@ owning worker's lease, because live migration can move a group between
 shards at any item boundary.
 
 ``BLOCK001–002`` — blocking-call reachability.  ``time.sleep``, fsync,
-sync file/socket I/O and ``subprocess`` must not run on an event loop:
-BLOCK001 flags a blocking call written directly in an ``async def``,
-BLOCK002 one *reachable* from an ``async def`` through the call graph,
-including the dynamic hop through ``interpreter.execute`` into the
-enclosing backend's effect methods.
+sync file/socket I/O and ``subprocess`` must not run on an event loop.
+What runs *on* the loop is every ``async def``, every method of an
+``asyncio.Protocol`` / ``BufferedProtocol`` subclass (the transport
+calls them) and every callable handed to ``call_soon`` /
+``call_soon_threadsafe`` / ``call_later``: BLOCK001 flags a blocking
+call written directly in such an entry point, BLOCK002 one *reachable*
+from it through the call graph, including the dynamic hop through
+``interpreter.execute`` into the enclosing backend's effect methods.
 
 ``LOCK002–003`` — locks under concurrency.  LOCK002 flags an ``await``
 while a synchronous lock is held inside a coroutine; LOCK003 builds the
@@ -102,13 +105,15 @@ DEEP_RULE_DOCS: dict[str, tuple[Severity, str, str]] = {
     "BLOCK001": (
         Severity.ERROR,
         "a blocking call (sleep, fsync, sync file/socket I/O, "
-        "subprocess) is written directly in an async def",
+        "subprocess) is written directly in an async def or an "
+        "event-loop callback",
         "await the async equivalent or move the call to an executor",
     ),
     "BLOCK002": (
         Severity.ERROR,
         "a blocking call is transitively reachable from a coroutine "
-        "running on an event loop (including through effect dispatch)",
+        "or callback running on an event loop (including through effect "
+        "dispatch)",
         "break the chain with run_in_executor or baseline it with a "
         "justification (e.g. shutdown paths, startup recovery)",
     ),
@@ -180,6 +185,18 @@ _BACKEND_METHODS = (
 )
 
 _INTERPRETER_CLASS = "repro.core.interpreter.EffectInterpreter"
+
+#: Bases whose methods the transport calls on the event loop.
+_PROTOCOL_BASES = frozenset({
+    "asyncio.Protocol", "asyncio.BufferedProtocol",
+    "asyncio.protocols.Protocol", "asyncio.protocols.BufferedProtocol",
+})
+
+#: Loop methods that run a callback later -> the callback's position.
+#: Matched by method name: ``HostBackend.call_later`` wraps the loop's.
+_LOOP_SCHEDULERS = {
+    "call_soon": 0, "call_soon_threadsafe": 0, "call_later": 1, "call_at": 1,
+}
 
 _SYNC_LOCK_TYPES = frozenset({
     "threading.Lock", "threading.RLock", "threading.Semaphore",
@@ -450,17 +467,41 @@ def _blocking_sites(graph: ProgramGraph, fn: FunctionInfo) -> list[tuple[str, as
     return sites
 
 
+def _loop_entry_points(graph: ProgramGraph) -> dict[str, str]:
+    """Every function the event loop runs directly -> ``"coroutine"`` or
+    ``"callback"``: each ``async def``, each method of an
+    ``asyncio.Protocol`` subclass, and each program function handed to
+    ``call_soon`` / ``call_soon_threadsafe`` / ``call_later``."""
+    entries: dict[str, str] = {}
+    for qual, fn in graph.functions.items():
+        if fn.is_async:
+            entries[qual] = "coroutine"
+        elif fn.cls is not None and not _PROTOCOL_BASES.isdisjoint(graph.mro(fn.cls)):
+            entries[qual] = "callback"
+    for fn in graph.functions.values():
+        for node in ast.walk(fn.node):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            position = _LOOP_SCHEDULERS.get(node.func.attr)
+            if position is None or len(node.args) <= position:
+                continue
+            target = graph.resolve_callable(fn, node.args[position])
+            if target in graph.functions:
+                entries.setdefault(target, "callback")
+    return entries
+
+
 def _check_block001(graph: ProgramGraph) -> list[Finding]:
     findings: list[Finding] = []
-    for qual in sorted(graph.functions):
+    entries = _loop_entry_points(graph)
+    for qual in sorted(entries):
         fn = graph.functions[qual]
-        if not fn.is_async:
-            continue
         for name, node in _blocking_sites(graph, fn):
             findings.append(_finding(
                 "BLOCK001", fn, node,
-                f"coroutine {fn.qualname} calls blocking {name}() directly "
-                f"on the event loop",
+                f"{entries[qual]} {fn.qualname} calls blocking {name}() "
+                f"directly on the event loop",
             ))
     return findings
 
@@ -495,26 +536,24 @@ def _dispatch_bridge_edges(graph: ProgramGraph) -> dict[str, list[str]]:
 
 def _check_block002(graph: ProgramGraph) -> list[Finding]:
     bridge = _dispatch_bridge_edges(graph)
+    entries = _loop_entry_points(graph)
     sync_edges: dict[str, list[str]] = {}
     for qual in sorted(graph.functions):
         targets: list[str] = []
         for site in graph.callees(qual):
             if not site.in_program:
                 continue
-            callee = graph.functions.get(site.callee)
-            # an awaited coroutine is its own BLOCK002 entry point; do
-            # not traverse into it from here (avoids double reports)
-            if callee is not None and not callee.is_async:
+            # an awaited coroutine (or a loop callback someone also
+            # calls) is its own entry point; do not traverse into it
+            # from here (avoids double reports)
+            if site.callee in graph.functions and site.callee not in entries:
                 targets.append(site.callee)
         targets.extend(bridge.get(qual, ()))
         sync_edges[qual] = sorted(set(targets))
 
     findings: list[Finding] = []
     seen_sites: set[tuple[str, str]] = set()
-    for entry in sorted(graph.functions):
-        entry_fn = graph.functions[entry]
-        if not entry_fn.is_async:
-            continue
+    for entry in sorted(entries):
         reached: set[str] = set()
         queue = list(sync_edges.get(entry, ()))
         while queue:
@@ -533,7 +572,7 @@ def _check_block002(graph: ProgramGraph) -> list[Finding]:
                 findings.append(_finding(
                     "BLOCK002", fn, node,
                     f"blocking {name}() in {fn.qualname} is reachable from "
-                    f"event-loop coroutine {entry}",
+                    f"event-loop {entries[entry]} {entry}",
                 ))
     return findings
 

@@ -533,8 +533,12 @@ class ProgramGraph:
     def resolve_call(self, fn: FunctionInfo, call: ast.Call) -> str | None:
         """Dotted callee of *call*: a program function/class qualname, or
         an external dotted name, or None when unresolvable."""
+        return self.resolve_callable(fn, call.func)
+
+    def resolve_callable(self, fn: FunctionInfo, func: ast.expr) -> str | None:
+        """What :meth:`resolve_call` answers, for a callable that is only
+        named (``loop.call_soon(self._flush)``), not called."""
         mod = self.modules[fn.module]
-        func = call.func
         # method call on a typed expression (self.x.m(), local.m(), ...)
         if isinstance(func, ast.Attribute):
             recv = self._expr_type_in(self.local_env(fn), fn, func.value)

@@ -207,8 +207,8 @@ class EffectBackend:
     def deliver_batch(self, conn: int, messages: list[Any]) -> bool:
         """Deliver a coalesced run of messages to one connection.
 
-        One flush per run: the asyncio writer performs a single
-        ``send_many``; the simulator charges one CPU occupancy for the
+        One flush per run: the asyncio host's flush performs a single
+        ``write_many``; the simulator charges one CPU occupancy for the
         total frame bytes.  Default: per-message :meth:`deliver` calls
         (correct, just unbatched).  Returns False when the connection is
         gone, in which case the whole run counts as dropped.

@@ -39,27 +39,35 @@ class MemoryConnection:
     def peer(self) -> str:
         return self._peer_name
 
-    async def send(self, message: Message) -> None:
-        if self._closed or self._other is None:
-            raise NotConnectedError("connection is closed")
-        # encode/decode round-trip keeps the wire format honest; going
-        # through the frame cache also enforces MAX_FRAME_SIZE, so this
-        # transport rejects oversized messages exactly like TCP does.
-        # Handing the cached payload bytes across is already zero-copy —
-        # safe for the same reason as TCP's writelines path: cached frames
-        # are immutable (no-mutation-after-cache, docs/protocol.md §6).
-        self._other._rx.put_nowait(encoded_frame(message).payload)
+    def write_many(self, messages: Iterable[Message]) -> bool:
+        """Hand each message's cached payload to the peer's queue.
 
-    async def send_many(self, messages: Iterable[Message]) -> None:
-        """Batch counterpart of :meth:`send` (same per-message semantics;
-        in-process pipes have no flush to coalesce).  The ``_rx`` queue
-        models the peer's kernel socket buffer — it is transport-internal
-        and deliberately unbounded; *application* backpressure lives in
-        :mod:`repro.net.flowcontrol`, upstream of any transport."""
+        The encode/decode round-trip keeps the wire format honest; going
+        through the frame cache also enforces MAX_FRAME_SIZE, so this
+        transport rejects oversized messages exactly like TCP does.
+        Handing the cached payload bytes across is already zero-copy —
+        safe for the same reason as TCP's writelines path: cached frames
+        are immutable (no-mutation-after-cache, docs/protocol.md §6).
+
+        Never congested: the ``_rx`` queue models the peer's kernel socket
+        buffer — it is transport-internal and deliberately unbounded;
+        *application* backpressure lives in :mod:`repro.net.flowcontrol`,
+        upstream of any transport.
+        """
         if self._closed or self._other is None:
             raise NotConnectedError("connection is closed")
         for message in messages:
             self._other._rx.put_nowait(encoded_frame(message).payload)
+        return False
+
+    async def drained(self) -> None:
+        """Nothing to wait for (see :meth:`write_many`)."""
+
+    async def send(self, message: Message) -> None:
+        self.write_many((message,))
+
+    async def send_many(self, messages: Iterable[Message]) -> None:
+        self.write_many(messages)
 
     async def receive(self) -> Message | None:
         if self._closed:

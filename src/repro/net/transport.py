@@ -14,28 +14,37 @@ transport gets the same flow-control behaviour for free.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.wire.messages import Message
 
-__all__ = ["Connection", "Listener", "Transport"]
+__all__ = ["Connection", "PushConnection", "Listener", "Transport"]
 
 
 @runtime_checkable
 class Connection(Protocol):
-    """One reliable, FIFO, message-framed duplex connection."""
+    """One reliable, FIFO, message-framed duplex connection.
+
+    The primitives are synchronous: :meth:`write_many` hands a batch to
+    the transport and says whether it is congested, :meth:`drained`
+    waits the congestion out.  ``send`` / ``send_many`` / ``receive`` are
+    thin coroutines over them for pull-style callers (clients, tests);
+    the host's flush calls the primitives directly.
+    """
 
     @property
     def peer(self) -> str:
         """Human-readable identity of the other end."""
         ...
 
-    async def send(self, message: Message) -> None:
-        """Frame and write one message (raises on a closed connection)."""
-        ...
+    def write_many(self, messages: Iterable[Message]) -> bool:
+        """Write a batch of messages in order, without waiting.
 
-    async def send_many(self, messages: Iterable[Message]) -> None:
-        """Write a batch of messages with one flush, preserving order.
+        Returns True when the transport's own buffer is above its
+        high-water mark afterwards: the caller must then write nothing
+        more until :meth:`drained` returns (it keeps its frames in the
+        bounded outbox meanwhile, so the transport never holds more than
+        one batch above the mark).  Raises on a closed connection.
 
         Implementations gather-write the *cached* encoded frames
         (``repro.wire.frames.encoded_frame``) without copying; callers
@@ -45,12 +54,50 @@ class Connection(Protocol):
         """
         ...
 
+    async def drained(self) -> None:
+        """Return once the transport is writable again (at once when it
+        is not congested); raises if the connection was lost meanwhile."""
+        ...
+
+    async def send(self, message: Message) -> None:
+        """``write_many`` of one message, then ``drained``."""
+        ...
+
+    async def send_many(self, messages: Iterable[Message]) -> None:
+        """``write_many``, then ``drained``."""
+        ...
+
     async def receive(self) -> Message | None:
         """Read the next message; ``None`` on orderly or failed close."""
         ...
 
     async def close(self) -> None:
         """Close the connection (idempotent)."""
+        ...
+
+
+class PushConnection(Connection, Protocol):
+    """A connection that can hand inbound messages to a callback instead
+    of being polled with ``receive``.  Optional: sockets accepted by
+    :class:`repro.net.tcp.TcpListener` offer it, and a host finds out
+    with ``hasattr(conn, "attach")``."""
+
+    def attach(
+        self,
+        on_messages: Callable[[list[Message]], None],
+        on_closed: Callable[[], None],
+    ) -> None:
+        """Switch to push mode.
+
+        From now on every complete frame of a received chunk is decoded
+        first and the whole list handed to *on_messages*; *on_closed* is
+        called exactly once when the connection is gone (peer EOF, error,
+        or local ``close``).  Messages that arrived before the call are
+        delivered by it, and so is a close that already happened.  A
+        frame that does not decode, or an exception out of *on_messages*,
+        closes this one connection.  ``receive`` must not be used on an
+        attached connection.
+        """
         ...
 
 

@@ -12,12 +12,25 @@ contract) live in the interpreter, identical under simulation.
 Ordering guarantees:
 
 * effects from one input event are executed in emission order;
-* messages to one connection are written by a dedicated writer task fed
-  from a bounded two-lane outbox (:class:`repro.net.flowcontrol.BoundedOutbox`),
-  preserving per-connection per-lane FIFO order even though socket writes
-  await; control frames may overtake queued bulk ``Delivery`` frames, a
-  slow consumer's stale ``STATE`` frames coalesce, and an incorrigibly
-  slow consumer is lag-kicked (``docs/flow-control.md``).
+* there is one write path for every connection class: a send queues the
+  frame in the connection's bounded two-lane outbox
+  (:class:`repro.net.flowcontrol.BoundedOutbox`) and marks the connection
+  dirty; the first mark in a loop tick schedules one ``call_soon``
+  :meth:`AsyncioHost._flush`, which drains every dirty outbox with one
+  ``pop_all()`` into one synchronous ``Connection.write_many`` — so
+  everything queued for a connection during a tick leaves in one socket
+  write, control lane first, each lane FIFO;
+* a connection whose transport reports congestion is *parked*: nothing
+  more is written to it, its frames keep waiting in the outbox (where a
+  slow consumer's stale ``STATE`` frames coalesce and an incorrigibly
+  slow one is lag-kicked — ``docs/flow-control.md``) until the transport
+  is writable again; one slow peer never delays the others' flush;
+* a lag-kicked or close-requested connection is closed after the flush
+  that empties its outbox (the ``Disconnect`` / ``ErrorReply`` goes out
+  first), and the core sees exactly one ``on_closed`` per connection;
+* inbound, a connection that can push (``attach``; accepted TCP sockets)
+  hands every decoded chunk straight to :meth:`AsyncioHost._on_messages`;
+  any other is polled by one ``receive()`` task.
 
 Storage effects go to an optional :class:`~repro.storage.GroupStore`; a
 background flush task bounds the WAL loss window, mirroring the paper's
@@ -28,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.core.clock import Clock, MonotonicClock
@@ -64,7 +78,21 @@ class AsyncioHost(HostBackend):
         self.transport = transport
         self.clock = clock or MonotonicClock()
         self._conns: dict[int, Connection] = {}
-        self._wakeups: dict[int, asyncio.Event] = {}
+        #: Connections with frames (or a close) waiting for the next
+        #: flush; insertion-ordered, so a flush writes in first-marked order.
+        self._dirty: dict[int, None] = {}
+        self._flush_scheduled = False
+        #: Congested connections: not flushed until ``drained()`` returns.
+        self._parked: set[int] = set()
+        #: I/O gauges.  Like ``outbox_peak_depth`` they depend on how the
+        #: loop interleaves reads and flushes, so they are per-backend
+        #: observability, deliberately not in the parity-checked
+        #: ``DispatchStats``.  ``frames_written / socket_writes`` is the
+        #: batching factor; ``socket_writes / flush_ticks`` the fan-out
+        #: one tick served.
+        self.flush_ticks = 0
+        self.socket_writes = 0
+        self.frames_written = 0
         self._tasks: set[asyncio.Task] = set()
         self._next_conn = 0
         self._listener: Listener | None = None
@@ -89,7 +117,10 @@ class AsyncioHost(HostBackend):
         if self._listener is not None:
             await self._listener.close()
         self._cancel_timers()
-        for conn in list(self._conns.values()):
+        # forget them first: a close observed from here on is ours, not
+        # an event for the core
+        conns, self._conns = self._conns, {}
+        for conn in conns.values():
             await conn.close()
         # a ShutDown effect runs stop() as a tracked task: it must not
         # cancel (and then await) itself
@@ -125,15 +156,65 @@ class AsyncioHost(HostBackend):
         if outbox is None:
             return False
         accepted = outbox.push(message)
-        wakeup = self._wakeups.get(conn)
-        if wakeup is not None:
-            wakeup.set()
+        if conn not in self._dirty:
+            self._mark_dirty(conn)
         return accepted
 
     # deliver_batch: the base per-message loop is already optimal here —
-    # the writer task coalesces everything queued behind one connection
-    # into a single send_many flush, and per-push accept/refuse results
-    # match the simulator's push sequence counter-for-counter.
+    # the flush writes everything queued behind one connection in a
+    # single write_many, and per-push accept/refuse results match the
+    # simulator's push sequence counter-for-counter.
+
+    def _mark_dirty(self, conn: int) -> None:
+        if conn in self._parked:
+            return  # re-marked when its transport has drained
+        self._dirty[conn] = None
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush)
+
+    def _flush(self) -> None:
+        """Write what this loop tick queued: one ``write_many`` per dirty
+        connection, then the closes that were waiting on those frames."""
+        self._flush_scheduled = False
+        dirty, self._dirty = self._dirty, {}
+        self.flush_ticks += 1
+        for conn_id in dirty:
+            conn = self._conns.get(conn_id)
+            if conn is None:
+                continue  # gone since it was marked
+            outbox = self._outboxes[conn_id]
+            batch = outbox.pop_all()
+            if batch:
+                try:
+                    congested = conn.write_many(batch)
+                except Exception as exc:
+                    # closed under us, or an oversized frame: close; the
+                    # read side observes it and delivers on_closed once
+                    logger.debug("write to conn %d failed: %r", conn_id, exc)
+                    self._spawn(conn.close())
+                    continue
+                self.socket_writes += 1
+                self.frames_written += len(batch)
+                if congested:
+                    self._parked.add(conn_id)
+                    self._spawn(self._unpark(conn_id, conn))
+                    continue
+            if outbox.kicked or outbox.close_requested:
+                # lag-kick (the Disconnect notice just went out) or a
+                # core-requested close that was waiting on the drain
+                self._spawn(conn.close())
+
+    async def _unpark(self, conn_id: int, conn: Connection) -> None:
+        """Wait a congested transport out, then let the flush have the
+        connection (and whatever its outbox collected meanwhile) back."""
+        try:
+            await conn.drained()
+        except (ConnectionError, OSError):
+            await conn.close()  # the read side delivers on_closed
+            return
+        self._parked.discard(conn_id)
+        self._mark_dirty(conn_id)
 
     # TCP has no multicast, so deliver_multicast degrades to the base
     # unicast loop (the paper's "point-to-point whenever IP-multicast is
@@ -156,19 +237,12 @@ class AsyncioHost(HostBackend):
         self._spawn(self._dial(address, key))
 
     def close_connection(self, conn: int) -> None:
-        connection = self._conns.get(conn)
-        if connection is None:
-            return
         outbox = self._outboxes.get(conn)
-        if outbox is not None and not outbox.empty:
-            # flush queued frames (e.g. an ErrorReply) before closing;
-            # the writer performs the close once the outbox drains
+        if outbox is not None:
+            # queued frames (e.g. an ErrorReply) go out first: the flush
+            # closes the connection once its outbox has drained
             outbox.close_requested = True
-            wakeup = self._wakeups.get(conn)
-            if wakeup is not None:
-                wakeup.set()
-            return
-        self._spawn(connection.close())
+            self._mark_dirty(conn)
 
     # ------------------------------------------------------------------
     # EffectBackend: lifecycle
@@ -190,10 +264,17 @@ class AsyncioHost(HostBackend):
         self._next_conn += 1
         self._conns[conn_id] = conn
         self._open_outbox(conn_id)
-        self._wakeups[conn_id] = asyncio.Event()
-        self._spawn(self._writer_loop(conn_id, conn))
-        self._spawn(self._reader_loop(conn_id, conn))
         self.dispatch(self.core.on_connected(conn_id, peer=conn.peer, key=key))
+        # last: attach() hands over whatever arrived before it at once
+        # to a PushConnection (asked with hasattr: an isinstance against
+        # the runtime protocol costs 30 µs per connection)
+        if hasattr(conn, "attach"):
+            conn.attach(
+                partial(self._on_messages, conn_id),
+                partial(self._drop_connection, conn_id),
+            )
+        else:
+            self._spawn(self._pull_loop(conn_id, conn))
         return conn_id
 
     async def _accept_loop(self, listener: Listener) -> None:
@@ -221,57 +302,32 @@ class AsyncioHost(HostBackend):
             return
         self._register(conn, key)
 
-    async def _reader_loop(self, conn_id: int, conn: Connection) -> None:
+    def _on_messages(self, conn_id: int, messages: list[Any]) -> None:
+        """Sink of a push connection: one decoded chunk."""
+        for message in messages:
+            self.dispatch(self.core.on_message(conn_id, message))
+
+    async def _pull_loop(self, conn_id: int, conn: Connection) -> None:
+        """The adapter for connections that cannot push."""
         try:
             while True:
                 message = await conn.receive()
                 if message is None:
                     break
                 self.dispatch(self.core.on_message(conn_id, message))
-        except asyncio.CancelledError:
-            return
         except Exception:
             logger.exception("reader for conn %d failed", conn_id)
         self._drop_connection(conn_id)
-
-    async def _writer_loop(self, conn_id: int, conn: Connection) -> None:
-        outbox = self._outboxes[conn_id]
-        wakeup = self._wakeups[conn_id]
-        try:
-            while True:
-                await wakeup.wait()
-                wakeup.clear()
-                while True:
-                    # Drain control-first: everything queued behind this
-                    # connection goes out in one send_many flush (frames
-                    # accumulate while the previous drain awaits, and
-                    # batching amortizes the per-write wakeup cost).
-                    batch = outbox.pop_all()
-                    if not batch:
-                        break
-                    if len(batch) == 1:
-                        await conn.send(batch[0])
-                    else:
-                        await conn.send_many(batch)
-                if outbox.kicked or outbox.close_requested:
-                    # lag-kick (the Disconnect notice just flushed) or a
-                    # core-requested close waiting on the drain; the
-                    # reader loop observes the close and delivers
-                    # on_closed exactly once
-                    await conn.close()
-                    return
-        except asyncio.CancelledError:
-            return
-        except Exception:
-            # write failure: the reader loop will observe the close and
-            # deliver on_closed exactly once
-            await conn.close()
+        # a failed read leaves the socket open: never forget a connection
+        # without closing it
+        await conn.close()
 
     def _drop_connection(self, conn_id: int) -> None:
         if self._conns.pop(conn_id, None) is None:
             return
         self._retire_outbox(conn_id)
-        self._wakeups.pop(conn_id, None)
+        self._dirty.pop(conn_id, None)
+        self._parked.discard(conn_id)
         self.dispatch(self.core.on_closed(conn_id))
 
     # ------------------------------------------------------------------

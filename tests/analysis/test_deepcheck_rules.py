@@ -365,6 +365,85 @@ async def outer(fd):
         assert "inner" in findings[0].message
 
 
+class TestLoopCallbackEntryPoints:
+    """Work that starts in ``data_received`` or a ``call_soon`` callback
+    runs on the event loop just as an ``async def`` does."""
+
+    CALLBACKS = """
+import asyncio
+import os
+import time
+
+def write_a(fd):
+    os.fsync(fd)
+
+def write_b(fd):
+    os.fsync(fd)
+
+def write_c(fd):
+    os.fsync(fd)
+
+class Conn(asyncio.Protocol):
+    def data_received(self, chunk):
+        time.sleep(0.1)
+        write_a(3)
+
+class Host:
+    def __init__(self):
+        self._loop = asyncio.new_event_loop()
+    def deliver(self):
+        self._loop.call_soon(self._flush)
+        self._loop.call_later(0.5, self._tick, 1)
+        self._loop.call_soon_threadsafe(standalone)
+    def _flush(self):
+        time.sleep(0.1)
+    def _tick(self, n):
+        write_b(n)
+
+def standalone():
+    write_c(4)
+"""
+
+    def test_fires_in_protocol_methods_and_scheduled_callables(self):
+        direct = deep(rules=("BLOCK001",), repro__m=self.CALLBACKS)
+        assert [f.message.split()[:2] for f in direct] == [
+            ["callback", "repro.m.Conn.data_received"],
+            ["callback", "repro.m.Host._flush"],
+        ]
+        reached = deep(rules=("BLOCK002",), repro__m=self.CALLBACKS)
+        assert sorted(f.message.split(" in ")[1] for f in reached) == [
+            "repro.m.write_a is reachable from event-loop callback "
+            "repro.m.Conn.data_received",
+            "repro.m.write_b is reachable from event-loop callback "
+            "repro.m.Host._tick",
+            "repro.m.write_c is reachable from event-loop callback "
+            "repro.m.standalone",
+        ]
+
+    def test_silent_for_plain_classes_and_callables_nobody_schedules(self):
+        findings = deep(rules=("BLOCK001", "BLOCK002"), repro__m="""
+import os
+import time
+
+def sync_write(fd):
+    os.fsync(fd)
+
+class NotAProtocol:
+    def data_received(self, chunk):
+        time.sleep(0.1)
+        sync_write(3)
+
+class Host:
+    def call_soon(self, fn):
+        fn()
+    def run(self):
+        self._flush()          # called, never handed to a loop
+    def _flush(self):
+        time.sleep(0.1)
+""")
+        assert findings == []
+
+
 class TestLock002:
     def test_fires_on_await_under_sync_lock(self):
         findings = deep(rules=("LOCK002",), repro__m="""

@@ -187,11 +187,10 @@ def run_burst_on_asyncio(make_script):
         await asyncio.sleep(0.05)
         (conn,) = core.connected
         # dispatch() is synchronous, so every push lands in the outbox
-        # before the writer task gets the loop back — the same
-        # accept/coalesce/kick sequence as one interpreter.execute()
-        # batch in the simulator.
+        # before the tick's flush runs — the same accept/coalesce/kick
+        # sequence as one interpreter.execute() batch in the simulator.
         host.dispatch(make_script(conn))
-        await asyncio.sleep(0.1)  # let the writer drain (or kick)
+        await asyncio.sleep(0.1)  # let the flush write (or kick)
         stats = host.dispatch_stats
         await host.stop()
         return stats
