@@ -184,8 +184,11 @@ class _IncomingTransfer:
     Lives from the ``SNAP_CHUNKED`` marker :class:`JoinReply` until the
     final chunk decodes (or the transfer is abandoned).  Survives a
     connection loss so the client can ``TransferResume`` from
-    ``len(received)`` — the first byte it does not have — instead of
+    ``received_bytes`` — the first byte it does not have — instead of
     restarting.
+
+    Chunks are kept as received and joined once at the end: one copy of
+    the payload, and no allocation sized by the server's ``total_bytes``.
     """
 
     group: GroupId
@@ -197,10 +200,11 @@ class _IncomingTransfer:
     notify_membership: bool
     spec: TransferSpec
     members: tuple[MemberInfo, ...] = ()
-    #: Learned from the first chunk (the marker does not carry it).
+    #: Learned from the first chunk (the marker does not carry them).
     transfer_id: int = -1
     total_bytes: int = 0
-    received: bytearray = field(default_factory=bytearray)
+    chunks: list[bytes] = field(default_factory=list)
+    received_bytes: int = 0
     #: Live deliveries that arrived during the transfer — already
     #: surfaced to the application via ``NOTIFY_DELIVERY`` — replayed
     #: into the replica once the final chunk decodes.
@@ -694,20 +698,28 @@ class ClientCore(ProtocolCore):
             return  # abandoned transfer — stale chunk, drop
         if transfer.transfer_id < 0:
             transfer.transfer_id = message.transfer_id
+            transfer.total_bytes = message.total_bytes
         elif message.transfer_id != transfer.transfer_id:
             return  # chunk from a superseded transfer
-        have = len(transfer.received)
+        have = transfer.received_bytes
         if message.offset < have:
             return  # duplicate overlap after a resume race
         if message.offset > have:
             raise ProtocolError(
                 f"chunk gap at byte {have} in transfer for {message.group!r}"
             )
-        transfer.received += message.data
-        transfer.total_bytes = message.total_bytes
-        self.send(conn, ChunkAck(
-            message.group, transfer.transfer_id, len(transfer.received)
-        ))
+        have += len(message.data)
+        total = transfer.total_bytes
+        if (message.total_bytes != total or have > total
+                or message.last != (have == total)):
+            raise ProtocolError(
+                f"chunk ending at byte {have} of {message.total_bytes} "
+                f"(last={message.last}) does not fit the {total}-byte "
+                f"transfer for {message.group!r}"
+            )
+        transfer.chunks.append(message.data)
+        transfer.received_bytes = have
+        self.send(conn, ChunkAck(message.group, transfer.transfer_id, have))
         if transfer.request_id in self._pending:
             # progress resets the request timeout — a long transfer is
             # not a stuck one
@@ -715,7 +727,7 @@ class ClientCore(ProtocolCore):
                 request_timer(transfer.request_id), self.config.request_timeout
             ))
         self.emit(Notify(NOTIFY_TRANSFER_PROGRESS, TransferProgress(
-            message.group, len(transfer.received), message.total_bytes
+            message.group, have, total
         )))
         if message.last:
             self._complete_transfer(transfer)
@@ -723,7 +735,7 @@ class ClientCore(ProtocolCore):
     def _complete_transfer(self, transfer: _IncomingTransfer) -> None:
         """Final chunk arrived: decode, install, replay the catch-up log."""
         del self._transfers[transfer.group]
-        snapshot = codec.decode(bytes(transfer.received))
+        snapshot = codec.decode(b"".join(transfer.chunks))
         if not isinstance(snapshot, StateSnapshot):
             raise ProtocolError(
                 f"chunk stream for {transfer.group!r} decoded to "
@@ -762,7 +774,7 @@ class ClientCore(ProtocolCore):
             rid = self._request(
                 "resume",
                 lambda r, t=transfer: TransferResume(
-                    r, t.group, t.transfer_id, len(t.received), t.have_seqno
+                    r, t.group, t.transfer_id, t.received_bytes, t.have_seqno
                 ),
             )
             transfer.resume_request_id = rid

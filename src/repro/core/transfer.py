@@ -39,11 +39,14 @@ frames planned by :class:`OutgoingTransfer`.  The planner keeps a
 bounded in-flight window clocked by :class:`~repro.wire.messages.
 ChunkAck` and adapts the chunk size to the acked-bytes/elapsed-time
 bandwidth estimate, between ``chunk_floor_bytes`` and
-``chunk_ceiling_bytes``.  Because the chunk stream is a byte-exact slice
-of the one snapshot payload, reassembly is byte-identical to the
-monolithic path by construction, and a resume after disconnect restarts
-at the first byte the client does not have — never re-sending acked
-data.
+``chunk_ceiling_bytes``.  It samples in two phases: once per window
+round trip until a round first takes ``target_chunk_seconds`` (so a
+fast link reaches its chunk size in round trips, not quarter-seconds),
+and once per ``target_chunk_seconds`` from then on.  Because the chunk
+stream is a byte-exact slice of the one snapshot payload, reassembly is
+byte-identical to the monolithic path by construction, and a resume
+after disconnect restarts at the first byte the client does not have —
+never re-sending acked data.
 
 This module is also the *only* place allowed to materialize whole group
 state (lint rule ``PERF004``): everything else must go through
@@ -313,13 +316,22 @@ class OutgoingTransfer:
     lane never holds more than a window of chunk bytes, so a concurrent
     update queued behind them is sent within one window's transmission
     time instead of after the entire snapshot.
+
+    Bandwidth is sampled in two phases.  In *slow start* a sample is
+    taken each time the whole flight that was outstanding after the
+    previous sample has been acked — one window round trip, timed from
+    the moment that flight went out — so a link whose round trip is a
+    millisecond reaches its chunk size after one round instead of never.
+    The first round that takes ``target_chunk_seconds`` or longer (or a
+    resume) ends the phase for good; from then on a sample is taken at
+    most once per ``target_chunk_seconds``.
     """
 
     __slots__ = (
         "group", "client", "transfer_id", "snapshot", "payload",
         "total_bytes", "chunk_bytes", "sent_offset", "acked_offset",
         "paused", "expires_at", "_config", "_bandwidth",
-        "_last_sample_at", "_pending_bytes",
+        "_last_sample_at", "_pending_bytes", "_slow_start", "_round_end",
     )
 
     def __init__(
@@ -346,6 +358,11 @@ class OutgoingTransfer:
         self._bandwidth = 0.0
         self._last_sample_at = now
         self._pending_bytes = 0
+        #: Sampling phase: per round trip while True, per interval after.
+        self._slow_start = True
+        #: Slow start's round mark: ``sent_offset`` as it stood once the
+        #: flight that followed the previous round was out.
+        self._round_end = 0
         #: True while the client is disconnected; armed with a TTL.
         self.paused = False
         self.expires_at: float | None = None
@@ -373,6 +390,8 @@ class OutgoingTransfer:
         if self.paused:
             return []
         out: list[StateChunk] = []
+        # Views, not copies: the codec writes them straight into the frame.
+        payload = memoryview(self.payload)
         window = self._config.inflight_chunks * self.chunk_bytes
         while (self.sent_offset < self.total_bytes
                and self.sent_offset - self.acked_offset < window):
@@ -383,12 +402,15 @@ class OutgoingTransfer:
                     group=self.group,
                     transfer_id=self.transfer_id,
                     offset=self.sent_offset,
-                    data=self.payload[self.sent_offset:end],
+                    data=payload[self.sent_offset:end],
                     total_bytes=self.total_bytes,
                     last=end >= self.total_bytes,
                 )
             )
             self.sent_offset = end
+        if self.acked_offset >= self._round_end:
+            # The last round is acked: what is in flight now is the next.
+            self._round_end = self.sent_offset
         return out
 
     def on_ack(self, offset: int, now: float) -> list[StateChunk]:
@@ -396,17 +418,29 @@ class OutgoingTransfer:
         adapt the chunk size, and return the chunks that now fit."""
         if self.paused or offset <= self.acked_offset:
             return []
-        delta = min(offset, self.total_bytes) - self.acked_offset
-        self.acked_offset = min(offset, self.total_bytes)
-        self._pending_bytes += delta
-        # Sample over at least one target interval.  Acks can arrive in
-        # bursts (ack compression: on a half-duplex link the return path
-        # queues behind the chunks themselves), and a per-ack
-        # bytes/elapsed over a microscopic gap would wildly overestimate
-        # the link; accumulating until a full interval has passed folds
-        # a burst into one honest sample.
+        # Never past what was sent: a sample must not count bytes that
+        # never moved, and ``done`` must not come true early.
+        offset = min(offset, self.sent_offset)
+        self._pending_bytes += offset - self.acked_offset
+        self.acked_offset = offset
+        # Acks can arrive in bursts (ack compression: on a half-duplex
+        # link the return path queues behind the chunks themselves), and
+        # a per-ack bytes/elapsed over a microscopic gap would wildly
+        # overestimate the link.  So a sample spans a full target
+        # interval, which folds a burst into one honest figure — or, in
+        # slow start, a full round: the round's last chunk left at the
+        # previous sample, so ``elapsed`` is a real send-to-ack time.
+        # A round faster than the interval moved more than a chunk per
+        # interval, so slow start only ever grows the chunk; the round
+        # rule ends with it because after a shrink the window holds
+        # delivered bytes whose acks come back to back.
         elapsed = now - self._last_sample_at
-        if elapsed >= self._config.target_chunk_seconds:
+        interval = elapsed >= self._config.target_chunk_seconds
+        if interval or (
+            self._slow_start and offset >= self._round_end and elapsed > 0.0
+        ):
+            if interval:
+                self._slow_start = False
             sample = self._pending_bytes / elapsed
             gain = self._config.bandwidth_gain
             if self._bandwidth <= 0.0:
@@ -442,4 +476,7 @@ class OutgoingTransfer:
         # disconnect, and a stale sample window would poison the EWMA.
         self._last_sample_at = now
         self._pending_bytes = 0
+        # And no ramp: a link that just dropped the connection gets the
+        # interval rule, as every resume did before slow start existed.
+        self._slow_start = False
         return True

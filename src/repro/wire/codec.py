@@ -544,8 +544,13 @@ def _emit_encode(
         if issubclass(tp, (bytes, bytearray, memoryview)):
             b, n = names.new("b"), names.new("n")
             lines.append(f"{ind}{b} = {expr}")
+            # A memoryview goes in as it is — a chunk sliced out of a
+            # cached payload is copied once, into the frame, not twice.
             lines.append(f"{ind}if {b}.__class__ is not bytes:")
-            lines.append(f"{ind}    {b} = bytes({b})")
+            lines.append(
+                f"{ind}    {b} = ({b}.cast('B') if {b}.__class__ is memoryview"
+                f" else bytes({b}))"
+            )
             n_ = n
             lines.append(f"{ind}{n_} = len({b})")
             _emit_uvarint(n_, lines, ind)

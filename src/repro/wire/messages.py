@@ -569,7 +569,9 @@ class StateChunk(Message):
     FIFO; ``last`` marks the final slice, after which the receiver
     decodes the reassembled snapshot and splices its buffered catch-up
     deliveries.  ``total_bytes`` is constant for the whole transfer and
-    drives progress reporting.
+    drives progress reporting.  On the sending side ``data`` is a
+    ``memoryview`` into the cached payload (no copy until the frame is
+    built); decoding always yields ``bytes``.
     """
 
     group: str

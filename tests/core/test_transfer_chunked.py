@@ -3,8 +3,8 @@ byte-identity property (contract: docs/protocol.md §3.5).
 
 Three layers of sans-io unit tests plus a Hypothesis property:
 
-* :class:`OutgoingTransfer` — windowing, ack clocking, interval-gated
-  bandwidth adaptation, pause/resume;
+* :class:`OutgoingTransfer` — windowing, ack clocking, two-phase
+  (per round trip, then per interval) bandwidth adaptation, pause/resume;
 * the server core — marker replies, chunk pumping, resume handling,
   TTL expiry;
 * the client core — reassembly, catch-up buffering, progress events;
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.client import ClientConfig, ClientCore
 from repro.core.clock import ManualClock
+from repro.core.errors import ProtocolError
 from repro.core.events import (
     NOTIFY_TRANSFER_PROGRESS,
     CloseConnection,
@@ -156,16 +157,48 @@ class TestOutgoingTransfer:
         assert t.bandwidth == pytest.approx(128.0)  # 128 bytes / 1.0 s
         assert t.chunk_bytes == 128  # bw * target_chunk_seconds, clamped
 
-    def test_ack_burst_cannot_inflate_the_estimate(self):
-        # Ack compression: a burst of acks microseconds apart must fold
-        # into one sample, not multiply the estimate per ack.
+    def test_fast_flight_samples_once_per_round_from_its_send_time(self):
+        t = _transfer(payload_bytes=4000, chunk_ceiling_bytes=4096)
+        t.next_chunks()  # the first flight, [0, 128), leaves at 0.0
+        t.on_ack(64, now=0.1)  # half of it: no sample, one chunk released
+        assert (t.bandwidth, t.chunk_bytes, t.sent_offset) == (0.0, 64, 192)
+        # all of it, well inside the interval: one sample over its 0.2 s
+        t.on_ack(128, now=0.2)
+        assert t.bandwidth == pytest.approx(640.0)
+        assert t.chunk_bytes == 640
+        # the next round is everything in flight after that sample
+        # (window 2 x 640), timed from 0.2 when its last chunk left
+        assert t.sent_offset == 1472
+        t.on_ack(192, now=0.25)
+        t.on_ack(832, now=0.3)
+        assert t.bandwidth == pytest.approx(640.0)  # round not over yet
+        t.on_ack(1472, now=0.4)
+        # (1472 - 128) bytes / 0.2 s = 6720, folded in with gain 0.5
+        assert t.bandwidth == pytest.approx(3680.0)
+
+    def test_first_interval_sample_ends_slow_start_for_good(self):
+        # A first ack slower than the interval is the parent's rule
+        # exactly, and shrinks the chunk.  The window is then full of
+        # already-delivered bytes whose acks come back to back (ack
+        # compression): that burst completes a round in a millisecond
+        # and must not be sampled.
         t = _transfer(payload_bytes=4000)
         t.next_chunks()
-        for offset in (64, 128, 192):
-            t.on_ack(offset, now=0.999)
-        assert t.bandwidth == 0.0  # still inside the interval
-        t.on_ack(256, now=1.0)
-        assert t.bandwidth == pytest.approx(256.0)
+        t.on_ack(64, now=8.0)
+        assert (t.bandwidth, t.chunk_bytes) == (pytest.approx(8.0), 16)
+        t.on_ack(128, now=8.001)  # everything outstanding, 1 ms later
+        for offset in (144, 160, 176, 192):  # and whole windows after it
+            t.on_ack(offset, now=8.002)
+        assert (t.bandwidth, t.chunk_bytes) == (pytest.approx(8.0), 16)
+        # the burst folds into the next interval's one honest sample
+        t.on_ack(208, now=9.0)
+        assert t.bandwidth == pytest.approx(8.0 + 0.5 * (144.0 - 8.0))
+
+    def test_a_round_with_no_time_in_it_takes_no_sample(self):
+        t = _transfer(payload_bytes=4000)
+        t.next_chunks()
+        t.on_ack(128, now=0.0)  # a clock that has not moved says nothing
+        assert (t.bandwidth, t.chunk_bytes) == (0.0, 64)
 
     def test_chunk_size_clamped_to_floor_and_ceiling(self):
         t = _transfer(payload_bytes=100_000)
@@ -174,10 +207,16 @@ class TestOutgoingTransfer:
         assert t.chunk_bytes == 16  # floor
         fast = _transfer(payload_bytes=100_000)
         fast.next_chunks()
-        fast.on_ack(128, now=1e-4)  # 1.28 MB/s sample... but gated
-        assert fast.bandwidth == 0.0
-        fast.on_ack(100_000, now=1.0)
-        assert fast.chunk_bytes == 256  # ceiling
+        fast.on_ack(128, now=1e-4)  # one round trip at 1.28 MB/s
+        assert fast.chunk_bytes == 256  # ceiling, after a single round
+
+    def test_ack_beyond_what_was_sent_is_clamped(self):
+        t = _transfer(payload_bytes=4000)
+        t.next_chunks()  # sent through 128
+        released = t.on_ack(4000, now=1.0)
+        assert t.acked_offset == 128 and not t.done
+        assert t.bandwidth == pytest.approx(128.0)  # only bytes that moved
+        assert released and released[0].offset == 128
 
     def test_pause_blocks_planning_and_arms_ttl(self):
         t = _transfer()
@@ -202,6 +241,15 @@ class TestOutgoingTransfer:
         t.next_chunks()  # sent through 128
         assert t.resume(offset=4096, now=0.0) is False
         assert t.resume(offset=-1, now=0.0) is False
+
+    def test_resume_ends_slow_start(self):
+        t = _transfer(payload_bytes=4000)
+        t.next_chunks()
+        t.pause(now=0.05)
+        assert t.resume(offset=0, now=0.1) is True
+        t.next_chunks()
+        t.on_ack(128, now=0.2)  # a whole window in 0.1 s: not sampled
+        assert (t.bandwidth, t.chunk_bytes) == (0.0, 64)
 
 
 class TestChunkMarker:
@@ -494,9 +542,29 @@ class TestClientReassembly:
         _marker_join(driver, conn, snapshot)
         chunks = _payload_chunks(snapshot, 128)
         driver.deliver(conn, chunks[0])
-        from repro.core.errors import ProtocolError
         with pytest.raises(ProtocolError):
             core.on_message(conn, chunks[2])  # skipped chunks[1]
+
+    @pytest.mark.parametrize("tamper", [
+        lambda c: StateChunk(c.group, c.transfer_id, c.offset,
+                             c.data + b"x" * 500, c.total_bytes, c.last),
+        lambda c: StateChunk(c.group, c.transfer_id, c.offset, c.data,
+                             c.total_bytes + 1, c.last),
+        lambda c: StateChunk(c.group, c.transfer_id, c.offset, c.data,
+                             c.total_bytes, True),
+    ], ids=["overruns-total", "total-changes", "last-too-early"])
+    def test_chunk_that_contradicts_total_bytes_is_a_protocol_error(
+        self, tamper
+    ):
+        driver, core, conn = _client_driver()
+        snapshot = _snapshot(payload_bytes=500)
+        _marker_join(driver, conn, snapshot)
+        chunks = _payload_chunks(snapshot, 128)
+        driver.deliver(conn, chunks[0])
+        with pytest.raises(ProtocolError):
+            core.on_message(conn, tamper(chunks[1]))
+        # nothing of the bad chunk was kept or acknowledged
+        assert core._transfers["g"].received_bytes == 128
 
     def test_duplicate_chunk_after_resume_race_is_dropped(self):
         driver, core, conn = _client_driver()
@@ -790,3 +858,77 @@ def test_chunked_join_byte_identical_to_monolithic(
         assert (view.state.get(object_id).materialized()
                 == ref_view.state.get(object_id).materialized()), object_id
     assert view.next_seqno == ref_view.next_seqno
+
+
+# --------------------------------------------------------------------------
+# slow links keep the plan they had before slow start
+# --------------------------------------------------------------------------
+
+def _interval_only_plan(total, cfg, gaps):
+    """Reference: the chunk plan of the planner before slow start existed
+    (one sample per ``target_chunk_seconds``, nothing else), acking one
+    chunk per entry of *gaps* in send order."""
+    plan, unacked = [], []
+    sent = acked = pending = 0
+    chunk, bandwidth, now, sampled_at = cfg.initial_chunk_bytes, 0.0, 0.0, 0.0
+
+    def send():
+        nonlocal sent
+        while sent < total and sent - acked < cfg.inflight_chunks * chunk:
+            size = min(chunk, total - sent)
+            plan.append((sent, size))
+            unacked.append(sent + size)
+            sent += size
+
+    send()
+    for gap in gaps:
+        if not unacked:
+            break
+        now += gap
+        offset = unacked.pop(0)
+        pending += offset - acked
+        acked = offset
+        elapsed = now - sampled_at
+        if elapsed >= cfg.target_chunk_seconds:
+            sample = pending / elapsed
+            bandwidth = (sample if bandwidth <= 0.0
+                         else bandwidth + cfg.bandwidth_gain * (sample - bandwidth))
+            chunk = max(cfg.chunk_floor_bytes, min(
+                cfg.chunk_ceiling_bytes, int(bandwidth * cfg.target_chunk_seconds)
+            ))
+            pending, sampled_at = 0, now
+        send()
+    return plan
+
+
+class TestSlowLinksKeepTheirPlan:
+    """Where the first ack takes a full interval, slow start never fires
+    and the plan is the old planner's, chunk for chunk — whatever the
+    acks do afterwards."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        config=_CONFIGS,
+        first_gap=st.floats(0.25, 5.0),
+        later_gaps=st.lists(st.floats(0.0, 1.0), max_size=120),
+    )
+    def test_plan_equals_the_interval_only_planner(
+        self, config, first_gap, later_gaps
+    ):
+        gaps = [first_gap, *later_gaps]
+        transfer = OutgoingTransfer(
+            group="g", client="c", transfer_id=1, snapshot=_snapshot(3000),
+            config=config, now=0.0,
+        )
+        plan, now = [], 0.0
+        pending = transfer.next_chunks()
+        for gap in gaps:
+            if not pending:
+                break
+            chunk = pending.pop(0)
+            plan.append((chunk.offset, len(chunk.data)))
+            now += gap
+            pending += transfer.on_ack(chunk.offset + len(chunk.data), now)
+        plan += [(c.offset, len(c.data)) for c in pending]
+        expected = _interval_only_plan(transfer.total_bytes, config, gaps)
+        assert plan == expected

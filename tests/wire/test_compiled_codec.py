@@ -8,6 +8,7 @@ registered catalogue and under hypothesis-generated inputs with buffer
 reuse.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import pytest
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 from repro.wire import codec, frames
 from repro.wire.codec import Reader, Writer, register
 from repro.wire.framing import frame_message
-from repro.wire.messages import Ack, Delivery, UpdateKind, UpdateRecord
+from repro.wire.messages import (
+    Ack,
+    Delivery,
+    StateChunk,
+    UpdateKind,
+    UpdateRecord,
+)
 from tests.analysis.test_wire001 import _instance_of
 
 
@@ -80,6 +87,22 @@ def test_subclass_in_nested_field_round_trips():
     back = codec.decode(ref)
     assert type(back.update) is _StampedRecord
     assert back == delivery
+
+
+def test_buffer_valued_bytes_field_encodes_like_bytes():
+    # The chunk planner hands the codec memoryview slices of a cached
+    # payload; whatever buffer a bytes field holds, the wire sees bytes.
+    payload = bytes(range(256)) * 4
+    plain = StateChunk("g", 1, 16, payload[16:700], len(payload), False)
+    for data in (
+        memoryview(payload)[16:700],
+        bytearray(payload[16:700]),
+        memoryview(array("H", payload[16:700])),  # cast to bytes, not items
+    ):
+        chunk = StateChunk("g", 1, 16, data, len(payload), False)
+        assert codec.encode(chunk) == codec.reference_encode(chunk)
+        assert codec.encode(chunk) == codec.encode(plain)
+        assert codec.decode(codec.encode(chunk)) == plain
 
 
 # --------------------------------------------------------------------------
