@@ -4,17 +4,21 @@ Three rule families, all architectural (they need the cross-module
 ownership model and call graph that single-file lint cannot build):
 
 ``SHARD001–003`` — shard-ownership dataflow.  A *threaded worker* is a
-class owning a ``threading.Thread`` attribute (the per-shard event
-loops), or a base class only workers inherit (what a backend-free front
-types its workers as); a *front* class holds such workers.  Shard-owned
-mutable state
+class owning a ``threading.Thread`` attribute (a shard with its own
+event loop), or a base class only workers inherit (what a backend-free
+front types its workers as); a *front* class holds such workers.
+Shard-owned mutable state
 (ServerCore, GroupRuntime/StateLog behind it, WAL handles, interpreter,
 containers) must only be reached from its own loop; the blessed
 cross-thread surface is the mailbox (``post``), lifecycle methods, and
-the ``call_front``/``run_front`` bridges.  ``SHARD004`` extends it for
-the elastic topology: GroupRuntime state may only be touched under the
-owning worker's lease, because live migration can move a group between
-shards at any item boundary.
+the ``call_front``/``run_front`` bridges.  The shipped drivers run every
+shard on the front's own loop (asyncio) or kernel (sim), so these three
+have no threaded worker to fire on today; they guard a future threaded
+or process-per-shard driver.  ``SHARD004`` covers the elastic topology
+under any driver: GroupRuntime state may only be touched under the
+owning worker's lease — by a class that runs the mailbox item protocol
+(defines or inherits ``process_item``) — because live migration can
+move a group between shards at any item boundary.
 
 ``BLOCK001–002`` — blocking-call reachability.  ``time.sleep``, fsync,
 sync file/socket I/O and ``subprocess`` must not run on an event loop.
@@ -818,14 +822,18 @@ _SERVER_CORE_CLASS = "repro.core.server.ServerCore"
 _LEASE_SANCTIONED_MODULES = ("repro.core", "repro.runtime.migration")
 
 
-def _lease_side_classes(graph: ProgramGraph, workers: set[str]) -> set[str]:
-    """Worker classes plus everything that inherits the item protocol
-    from them (the sim worker shares ShardWorkerBase's lease side)."""
-    return {sub for worker in workers for sub in graph.subclasses(worker)}
+def _lease_side_classes(graph: ProgramGraph) -> set[str]:
+    """Classes that run the mailbox item protocol — they define or
+    inherit ``process_item`` — whatever loop, thread or process drives
+    them: a group's lease names the worker whose items may touch it."""
+    return {
+        qual for qual in graph.classes
+        if graph.find_method(qual, "process_item") is not None
+    }
 
 
-def _check_shard004(graph: ProgramGraph, workers: set[str]) -> list[Finding]:
-    lease_side = _lease_side_classes(graph, workers)
+def _check_shard004(graph: ProgramGraph) -> list[Finding]:
+    lease_side = _lease_side_classes(graph)
     findings: list[Finding] = []
     for qual in sorted(graph.functions):
         fn = graph.functions[qual]
@@ -863,7 +871,7 @@ _CHECKS = {
     "SHARD001": lambda g, w: _check_shard001(g, w),
     "SHARD002": lambda g, w: _check_shard002(g, w),
     "SHARD003": lambda g, w: _check_shard003(g, w),
-    "SHARD004": lambda g, w: _check_shard004(g, w),
+    "SHARD004": lambda g, w: _check_shard004(g),
     "SCHED001": lambda g, w: _check_sched001(g),
     "BLOCK001": lambda g, w: _check_block001(g),
     "BLOCK002": lambda g, w: _check_block002(g),

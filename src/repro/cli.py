@@ -59,8 +59,9 @@ def server_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shards", type=int, default=1,
-        help="group-shard the server over N per-shard event loops "
-             "(stable storage partitions under <data>/shard<i>)",
+        help="partition the groups over N shards on the one event loop: "
+             "separate cores, WAL directories (<data>/shard<i>) and units "
+             "of failure and migration, no added CPU parallelism",
     )
     args = parser.parse_args(argv)
 
@@ -79,7 +80,7 @@ def server_main(argv: list[str] | None = None) -> int:
 
     async def _run() -> None:
         host, port = await server.start(args.host, args.port)
-        recovered = len(server.core.groups) if server.core else 0
+        recovered = server.recovered_groups
         print(f"corona-server {args.server_id} listening on {host}:{port}"
               + (f" ({args.shards} shards)" if args.shards > 1 else "")
               + (f" ({recovered} groups recovered)" if recovered else ""))

@@ -12,14 +12,17 @@ Example::
     await server.stop()
 
 With ``shards=N`` the server runs group-sharded: a front router plus N
-worker shards, each with its own event loop, core, and WAL segment set
-under ``<store_root>/shard<i>`` (see :mod:`repro.runtime.shard`)::
+worker shards on the same event loop, each with its own core, mailbox
+and WAL segment set under ``<store_root>/shard<i>`` — separate units of
+state, failure and migration, not extra CPU parallelism (see
+:mod:`repro.runtime.shard`)::
 
     server = CoronaServer(shards=4, store_root="/var/lib/corona")
 """
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Any
 
@@ -53,13 +56,16 @@ class CoronaServer:
             )
         self.config = config or ServerConfig()
         if store is None and (shards == 1 or store_root is None):
-            self.config.persist = False
+            # a copy: the caller's config object is not ours to change
+            self.config = dataclasses.replace(self.config, persist=False)
         self.store = store
         self.store_root = Path(store_root) if store_root is not None else None
         self.transport = transport or TcpTransport()
         self.shards = shards
         self.host: AsyncioHost | ShardedHost | None = None
         self.core: ServerCore | None = None
+        #: Groups recovered from stable storage by :meth:`start`.
+        self.recovered_groups = 0
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Any:
         """Recover persistent groups, bind, and serve; returns the bound
@@ -71,8 +77,14 @@ class CoronaServer:
                 shards=self.shards,
                 store_root=self.store_root,
             )
-            return await self.host.listen((host, port))
+            address = await self.host.listen((host, port))
+            # the snapshots each worker published before it started
+            self.recovered_groups = sum(
+                len(worker.recovered_groups) for worker in self.host.workers
+            )
+            return address
         recovered = self.store.recover_all() if self.store is not None else None
+        self.recovered_groups = len(recovered or ())
         self.core = ServerCore(self.config, clock=_host_clock(), recovered=recovered)
         self.host = AsyncioHost(self.core, self.transport, store=self.store)
         return await self.host.listen((host, port))

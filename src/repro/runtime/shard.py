@@ -1,27 +1,28 @@
-"""Group-sharded parallel service: the asyncio/thread driver.
+"""Group-sharded service: the asyncio driver.
 
 The sharding design itself — router, front sessions core, worker item
 protocol, migration, restart, the control loop — is backend-free and
-lives in :mod:`repro.runtime.sharding`.  This module only supplies the
-event loops:
+lives in :mod:`repro.runtime.sharding`.  This module only puts it on the
+running asyncio loop, ONE loop for the front and every shard:
 
 * :class:`ShardedHost` is the front: an
   :class:`~repro.runtime.host.AsyncioHost` that owns the listening
   socket and runs the :class:`~repro.runtime.sharding.ShardSessions`
-  core; worker relays reach it through ``call_soon_threadsafe``.
-* Each shard is a :class:`_ShardWorker`: a daemon thread with its own
-  asyncio event loop, fed through a bounded FIFO mailbox, and a
-  :class:`~repro.core.scheduler.ThreadPoolEngine` when the optimistic
-  scheduler is on.
+  core.
+* Each shard is a :class:`_ShardWorker`: a FIFO mailbox drained by one
+  callback per loop tick, with its own core, interpreter and store.
 
-The simulator's driver for the same design is :mod:`repro.sim.shard`.
+Sharding partitions state, WAL directories and the units of failure and
+migration; it adds no CPU parallelism (one loop, one GIL).  A
+process-per-shard driver, the way to real cores, would be a third thin
+driver behind the same seam; the simulator's is :mod:`repro.sim.shard`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-import threading
+from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -30,7 +31,7 @@ from repro.core.interpreter import Middleware
 from repro.core.scheduler import ThreadPoolEngine
 from repro.core.server import ServerConfig
 from repro.net.transport import Transport
-from repro.runtime.host import AsyncioHost
+from repro.runtime.host import FLUSH_INTERVAL, AsyncioHost
 from repro.runtime.sharding import (
     ShardFront,
     ShardRouter,
@@ -54,15 +55,10 @@ __all__ = [
 
 logger = logging.getLogger("repro.runtime.shard")
 
-#: Items a shard mailbox holds before a post suspends (backpressure).
-MAILBOX_SIZE = 1024
-
-_STOP = object()  # mailbox sentinel: drain FIFO, then exit the worker loop
-
 
 class _ShardWorker(ShardWorkerBase):
-    """One shard: a daemon thread running its own asyncio event loop,
-    fed through a bounded FIFO mailbox."""
+    """One shard: a FIFO mailbox on the front's loop, drained once per
+    loop tick."""
 
     def __init__(
         self,
@@ -81,108 +77,88 @@ class _ShardWorker(ShardWorkerBase):
             scheduler.engine = ThreadPoolEngine(
                 config.exec_lanes, name=f"corona-exec-{index}"
             )
-        self._mailbox: asyncio.Queue | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._ready = threading.Event()
+        self._mailbox: deque = deque()
+        self._drain_scheduled = False
         self._stopped = False
-        self._thread = threading.Thread(
-            target=self._run, name=f"corona-shard-{index}", daemon=True
-        )
+        self._flush_timer: asyncio.TimerHandle | None = None  # needs a store
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        self._thread.start()
-        self._ready.wait()
+        if self.store is not None:
+            self._flush_timer = self.call_later(FLUSH_INTERVAL, self._flush_tick)
 
     def stop(self) -> None:
-        """Post the stop sentinel (FIFO: queued work drains first), join
-        the thread, then flush and close this shard's own store."""
+        """Process what is queued, in order, then flush and close this
+        shard's own store.  Later posts are ignored."""
         if self._stopped:
             return
+        self._drain()
         self._stopped = True
-        self.post(_STOP)
-        self._thread.join(timeout=10)
+        self._cancel_timers()
+        if self._flush_timer is not None:
+            self._flush_timer.cancel()
+        if self.core.scheduler is not None:
+            self.core.scheduler.engine.close()
         if self.store is not None:
             self.store.flush()
             self.store.close()
 
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        self._mailbox = asyncio.Queue(MAILBOX_SIZE)
-        self._ready.set()
-        try:
-            self._loop.run_until_complete(self._main())
-        finally:
-            self._cancel_timers()
-            if self.core.scheduler is not None:
-                self.core.scheduler.engine.close()
-            self._loop.close()
+    def _flush_tick(self) -> None:
+        # bounds the WAL loss window exactly as the flat host's flush
+        # loop does; flush() may fsync, so it runs off-loop
+        asyncio.get_running_loop().run_in_executor(None, self.store.flush)
+        self._flush_timer = self.call_later(FLUSH_INTERVAL, self._flush_tick)
 
-    async def _main(self) -> None:
-        assert self._mailbox is not None
-        # with a scheduler attached, drain the backlog greedily into one
-        # speculation window per wakeup — that batch is what the
-        # optimistic engine parallelizes; an idle shard (batch of one)
-        # never opens a window and stays on the serial fast path
-        window = (
-            self.core.config.exec_window
-            if self.core.scheduler is not None
-            else 1
-        )
-        while True:
-            batch = [await self._mailbox.get()]
-            while len(batch) < window:
-                try:
-                    batch.append(self._mailbox.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            opened = False
-            if len(batch) > 1:
+    # -- mailbox ---------------------------------------------------------
+
+    def post(self, item: Any) -> None:
+        """Enqueue *item*; the first post of a loop tick schedules the
+        one drain that processes everything the tick queues."""
+        if self._stopped:
+            return
+        self._mailbox.append(item)
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            asyncio.get_running_loop().call_soon(self._drain)
+
+    def _drain(self) -> None:
+        """Process everything queued, FIFO.  With a scheduler attached
+        the backlog runs in speculation windows of up to ``exec_window``
+        items — that batch is what the optimistic engine parallelizes;
+        a batch of one never opens a window and stays on the serial
+        fast path."""
+        self._drain_scheduled = False
+        mailbox = self._mailbox
+        serial = self.core.scheduler is None
+        while mailbox:
+            size = 1 if serial else min(self.core.config.exec_window, len(mailbox))
+            if size > 1:
                 self.core.begin_batch()
-                opened = True
-            stopping = False
-            for item in batch:
-                if item is _STOP:
-                    # the sentinel is posted last (FIFO) — commit any
-                    # open window below, then exit
-                    stopping = True
-                    break
+            for _ in range(size):
+                item = mailbox.popleft()
                 try:
                     self.process_item(self._unwrap(item))
                 except Exception:
                     logger.exception(
                         "shard %d failed processing %r", self.index, item
                     )
-            if opened:
+            if size > 1:
                 try:
                     self.interpreter.execute(self.core.end_batch())
                 except Exception:
                     logger.exception(
                         "shard %d failed committing a batch", self.index
                     )
-            if stopping:
-                return
-
-    def post(self, item: Any) -> None:
-        """Enqueue *item* from any thread.  The put suspends inside the
-        worker loop when the mailbox is full (backpressure)."""
-        assert self._loop is not None and self._mailbox is not None
-        asyncio.run_coroutine_threadsafe(self._mailbox.put(item), self._loop)
 
     def queue_depth(self) -> int:
-        """Approximate mailbox backlog, readable from the front thread
-        (a single int read; staleness only skews control decisions)."""
-        mailbox = self._mailbox
-        return 0 if mailbox is None else mailbox.qsize()
+        """Mailbox backlog (the topology controller's load gauge)."""
+        return len(self._mailbox)
 
     def call_later(
         self, delay: float, fn: Callable[..., None], *args: Any
     ) -> asyncio.TimerHandle:
-        # timers run on the shard's own loop
-        assert self._loop is not None
-        return self._loop.call_later(delay, fn, *args)
+        return asyncio.get_running_loop().call_later(delay, fn, *args)
 
 
 class ShardedHost(ShardFront, AsyncioHost):
@@ -190,8 +166,8 @@ class ShardedHost(ShardFront, AsyncioHost):
 
     An :class:`AsyncioHost` running the sessions core (``listen`` /
     ``stop`` / ``on_notify`` / ``dispatch_stats`` as
-    :class:`CoronaServer` expects), with group work executing on
-    per-shard event loops in parallel.
+    :class:`CoronaServer` expects), with group work executing in
+    per-shard mailboxes on the same loop.
     """
 
     worker_class = _ShardWorker
@@ -217,12 +193,10 @@ class ShardedHost(ShardFront, AsyncioHost):
             middlewares=front_middlewares(middlewares, race_recorder), flow=flow,
         )
         self.alive = True
-        self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle -------------------------------------------------------
 
     async def listen(self, address: Any) -> Any:
-        self._loop = asyncio.get_running_loop()
         self.start_workers()
         return await super().listen(address)
 
@@ -236,14 +210,3 @@ class ShardedHost(ShardFront, AsyncioHost):
         # storage handles never leave their shard
         for worker in self.workers:
             worker.stop()
-
-    # -- ShardFront hooks --------------------------------------------------
-
-    def call_front(self, fn: Callable[[], None], token: int = 0) -> None:
-        """Callable from any shard thread: hops onto the front loop."""
-        if not self.alive or self._loop is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self.run_front, fn, token)
-        except RuntimeError:
-            pass  # front loop already closed during shutdown

@@ -4,7 +4,7 @@ The paper observes (§4.1) that a stateful group server parallelizes
 naturally along group boundaries: updates for different groups never
 touch shared state, so groups can be partitioned across workers that
 proceed independently.  This module is that design with no event loop
-in it — everything here runs unchanged under the asyncio/thread driver
+in it — everything here runs unchanged under the asyncio driver
 (:mod:`repro.runtime.shard`) and the simulator's kernel/``CpuLanes``
 driver (:mod:`repro.sim.shard`), so there is one copy of the
 coordination logic and nothing for a parity test to keep in sync:
@@ -579,12 +579,13 @@ class ShardWorkerBase(HostBackend):
 
     Owns the shard's :class:`ServerCore` + interpreter, its private
     store, the mailbox item protocol and the relays back to the front.
-    A driver subclass supplies the mailbox and the loop that drains it
+    A driver subclass supplies the mailbox and what drains it
     — :meth:`post`, :meth:`start`, :meth:`stop` and
-    :meth:`~repro.runtime.backend.HostBackend.call_later` (a thread and
-    its asyncio loop in :mod:`repro.runtime.shard`, kernel events on a
-    CPU lane in :mod:`repro.sim.shard`) — and feeds each dequeued item
-    through :meth:`_unwrap` into :meth:`process_item`.
+    :meth:`~repro.runtime.backend.HostBackend.call_later` (a deque and
+    one drain callback per tick of the front's asyncio loop in
+    :mod:`repro.runtime.shard`, kernel events on a CPU lane in
+    :mod:`repro.sim.shard`) — and feeds each dequeued item through
+    :meth:`_unwrap` into :meth:`process_item`.
 
     Mailbox items::
 
@@ -886,13 +887,16 @@ class ShardWorkerBase(HostBackend):
 
     # -- relays to the front -------------------------------------------------
 
-    def _relay(self, fn: Callable[[], None], label: str = "mbox") -> None:
-        """Hand *fn* to the front (the closure runs in front context),
-        recording the hop when a race recorder is attached."""
-        token = 0
-        if self._recorder is not None:
-            token = self._recorder.send(self._race_lane, f"{label}:front")
-        self._host.call_front(fn, token)
+    def _hop_token(self, label: str) -> int:
+        """Record the sending end of a hop to the front when a race
+        recorder is attached (0 = not instrumented)."""
+        if self._recorder is None:
+            return 0
+        return self._recorder.send(self._race_lane, f"{label}:front")
+
+    def _relay(self, fn: Callable[[], None]) -> None:
+        """Hand *fn* to the front (the closure runs in front context)."""
+        self._host.call_front(fn, self._hop_token("mbox"))
 
     def deliver(self, conn: int, message: Any) -> bool:
         return self.deliver_batch(conn, [message])
@@ -904,13 +908,25 @@ class ShardWorkerBase(HostBackend):
         return True
 
     def migration_event_to_front(self, method: str, *args: Any) -> None:
-        """Relay a migration lifecycle event to the front's sessions
-        core.  These relays are the ``mig:`` happens-before hops of the
-        handoff protocol — the label lets analysis tooling isolate them,
-        and stripping them from a race trace must make the source's
-        snapshot read and the destination's install write concurrent
-        (see tests)."""
-        self._relay(lambda: getattr(self._host.sessions, method)(*args), "mig")
+        """Send a migration lifecycle event to the front's sessions
+        core as its OWN callback (not inline like the relays above), so
+        commands, crashes and restarts can interleave mid-migration at
+        deterministic points.  These are the ``mig:`` happens-before
+        hops of the handoff protocol — the label lets analysis tooling
+        isolate them, and stripping them from a race trace must make
+        the source's snapshot read and the destination's install write
+        concurrent (see tests)."""
+        self.call_later(
+            self.migration_event_delay(method, args),
+            self._host.run_front,
+            lambda: getattr(self._host.sessions, method)(*args),
+            self._hop_token("mig"),
+        )
+
+    def migration_event_delay(self, method: str, args: tuple) -> float:
+        """Seconds a lifecycle event takes to reach the front (the
+        simulator charges the snapshot's streaming time here)."""
+        return 0.0
 
     def notify(self, kind: str, payload: Any) -> None:
         self._relay(lambda: self._host.notify(kind, payload))
@@ -960,12 +976,10 @@ class ShardFront:
         False once the host stopped or crashed (relays and controller
         ticks become no-ops);
     ``worker_class``
-        the driver's :class:`ShardWorkerBase` subclass;
-    :meth:`call_front`
-        get a closure from a worker's context into :meth:`run_front`.
+        the driver's :class:`ShardWorkerBase` subclass.
 
-    Workers supply their own half (``post`` / ``start`` / ``stop``, see
-    :class:`ShardWorkerBase`).
+    Workers supply their own half (``post`` / ``start`` / ``stop`` /
+    ``call_later``, see :class:`ShardWorkerBase`).
     """
 
     interpreter: EffectInterpreter
@@ -994,12 +1008,6 @@ class ShardFront:
         self.workers: list[ShardWorkerBase] = []
         self._retired: list[DispatchStats] = []
         self._controller_timer: Any = None
-
-    def call_front(self, fn: Callable[[], None], token: int = 0) -> None:
-        """Arrange for ``run_front(fn, token)`` to run in front context.
-        Called from worker context; FIFO per caller, so per-connection
-        reply order is preserved."""
-        raise NotImplementedError
 
     # -- workers -------------------------------------------------------------
 
@@ -1062,6 +1070,13 @@ class ShardFront:
         fn()
         self.interpreter.execute(self.sessions.drain())
 
+    def call_front(self, fn: Callable[[], None], token: int = 0) -> None:
+        """A worker's relay back to the front.  Inline under every
+        driver: workers run on the front's own loop (or kernel), so the
+        relay is part of the worker's callback and per-connection reply
+        order is the worker's FIFO."""
+        self.run_front(fn, token)
+
     # -- stats ---------------------------------------------------------------
 
     @property
@@ -1097,7 +1112,7 @@ class ShardFront:
         old = self.workers[index]
         old.stop()
         # ordered by the stop above: the retired worker can no longer run
-        self._retired.append(old.interpreter.stats)  # noqa: SHARD001
+        self._retired.append(old.interpreter.stats)
         self.sessions.forget_shard(index)
         worker = self._build_worker(index)
         self.workers[index] = worker

@@ -9,7 +9,7 @@ rebalancing actions:
 * **merge** an idle topology by consolidating a nearly-empty shard's
   groups onto the busiest sibling (fewer warm caches, fewer wakeups),
 * **restart** a wedged worker — backlog piling up while throughput sits
-  still for several consecutive samples is the thread-died signature.
+  still for several consecutive samples is the wedged-worker signature.
 
 The controller is deliberately pure decision logic: ``observe(samples)
 -> actions``.  The host owns the sampling cadence and the execution

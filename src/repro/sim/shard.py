@@ -13,9 +13,10 @@ FIFO and every run reproducible.
 
 While a worker processes an item the host's active lane is switched to
 the worker's, so the fan-out ``send_cost`` and WAL charges land on the
-shard's CPU, not the front's.  That is the modeled version of the
-per-shard event loops: groups on different shards burn CPU concurrently,
-which is exactly what ``bench_shard_scaling`` measures.  Replies relay
+shard's CPU, not the front's.  That models shards on separate cores —
+what a process-per-shard driver would buy; the asyncio driver runs them
+all on one loop — so groups on different shards burn CPU concurrently,
+which is exactly what ``bench_shard_scaling`` predicts.  Replies relay
 through the front sessions core and the front interpreter, so the
 counter structure (front counts + shard counts) matches the asyncio
 host's and the host-parity suite can compare them field by field.
@@ -82,8 +83,8 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
         self.queued = 0
         #: Set by :meth:`stop` (shard restart / host crash): events
         #: already scheduled against this worker object become no-ops,
-        #: the modeled version of a dead thread's mailbox draining into
-        #: the void.
+        #: the modeled version of a crashed shard's mailbox draining into
+        #: the void (the asyncio driver's graceful ``stop`` drains first).
         self.closed = False
 
     @property
@@ -96,8 +97,8 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
         # Zero-delay kernel events; insertion-order tie-breaking makes
         # this a deterministic FIFO mailbox per shard.  The event is
         # bound to this worker object: items posted before a restart die
-        # with the old worker (its ``closed`` flag), like a dead
-        # thread's mailbox.
+        # with the old worker (its ``closed`` flag), like a crashed
+        # shard's mailbox.
         self.queued += 1
         self._host.kernel.schedule(0.0, self.process, item)
 
@@ -261,25 +262,14 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
         finally:
             host._lane, host._exec_floor = prev
 
-    def migration_event_to_front(self, method: str, *args: Any) -> None:
-        # Scheduled (not relayed inline like the sends above) so the
-        # event lands as its own kernel event, exactly like
-        # call_soon_threadsafe on the asyncio host — chaos tests rely on
-        # these deterministic preemption points to interleave crashes
-        # and commands mid-migration.
-        host = self._host
-        delay = 0.0
+    def migration_event_delay(self, method: str, args: tuple) -> float:
+        # streaming the frozen group's state dominates the handoff;
+        # charging it as one bulk send in virtual time makes freeze
+        # windows (and the mid-migration interleavings the chaos tests
+        # crash into) non-degenerate instead of instantaneous
         if method == "migration_snapshot":
-            # streaming the frozen group's state dominates the handoff;
-            # charging it as one bulk send in virtual time makes freeze
-            # windows (and the mid-migration interleavings the chaos
-            # tests crash into) non-degenerate instead of instantaneous
-            delay = host.profile.send_cost(args[2].size_bytes())
-        token = 0
-        if self._recorder is not None:
-            token = self._recorder.send(self._race_lane, "mig:front")
-        fn = lambda: getattr(host.sessions, method)(*args)  # noqa: E731
-        host.kernel.schedule(delay, host.run_front, fn, token)
+            return self._host.profile.send_cost(args[2].size_bytes())
+        return 0.0
 
     def adopt_group_storage(self, snap: Any) -> None:
         # the WAL segment handoff costs one bulk write on the shared disk
@@ -367,13 +357,9 @@ class ShardedSimHost(ShardFront, SimHost):
         self.set_core(self.sessions)
         self.start_workers()
 
-    # -- ShardFront hooks (alive is SimHost's) ------------------------------
-
-    def call_front(self, fn: Callable[[], None], token: int = 0) -> None:
-        # inline: a worker's relay is part of the worker's own kernel
-        # event, so the front's send charges land on the lane the worker
-        # selected (see _SimShardWorker.deliver_batch)
-        self.run_front(fn, token)
+    # -- ShardFront hooks: alive is SimHost's, relays run inline, so the
+    # front's send charges land on the lane the worker selected (see
+    # _SimShardWorker.deliver_batch) ------------------------------------
 
     def start_controller(self, config: Any = None, ticks: int = 8) -> Any:
         """As :meth:`ShardFront.start_controller`, but bounded by

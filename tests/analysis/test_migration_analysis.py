@@ -96,16 +96,15 @@ class TestStripMigrationEdges:
 
 # -- SHARD004 ----------------------------------------------------------------
 
-# Worker owning a threading.Thread -> classified as a shard worker; its
-# methods (and subclasses') are the lease side.
+# Worker running the mailbox item protocol (it defines process_item) ->
+# its methods (and its subclasses') are the lease side, whatever loop,
+# thread or process drives it.
 LEASE_SCAFFOLD = """
-import threading
-
 from repro.core.group_runtime import GroupRuntime
 
 class Worker:
-    def __init__(self):
-        self._thread = threading.Thread()
+    def process_item(self, item):
+        self.serve(item[1])
     def serve(self, runtime: GroupRuntime):
         runtime.reduce()
 """
@@ -155,6 +154,25 @@ class SimWorker(Worker):
 """,
         )
         assert findings == []
+
+    def test_owning_a_thread_does_not_make_a_class_lease_side(self):
+        # the lease side is whoever runs the item protocol, not whoever
+        # happens to own a thread
+        findings = _deep(
+            ("SHARD004",),
+            repro__bg="""
+import threading
+
+from repro.core.group_runtime import GroupRuntime
+
+class Reaper:
+    def __init__(self):
+        self._thread = threading.Thread()
+    def sweep(self, runtime: GroupRuntime):
+        runtime.reduce()
+""",
+        )
+        assert [f.rule_id for f in findings] == ["SHARD004"]
 
     def test_silent_in_sanctioned_modules(self):
         findings = _deep(

@@ -202,8 +202,11 @@ class TestRepoGraph:
         assert "repro.core.interpreter.EffectInterpreter" in graph.classes
         # worker typing that the SHARD rules depend on
         assert graph.class_attr_type(
-            "repro.runtime.shard._ShardWorker", "_thread"
-        ) == TypeRef("threading.Thread")
+            "repro.runtime.shard._ShardWorker", "_mailbox"
+        ) == TypeRef("collections.deque")
+        assert graph.find_method(
+            "repro.runtime.shard._ShardWorker", "process_item"
+        ) == "repro.runtime.sharding.ShardWorkerBase.process_item"
         # the shared front holds its workers as the backend-free base
         # (resolved through ShardedHost's mro)
         workers = graph.class_attr_type("repro.runtime.shard.ShardedHost", "workers")

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.errors import GroupExistsError, NoSuchGroupError
+from repro.core.server import ServerConfig
 from repro.net.memory import MemoryNetwork
 from repro.runtime import CoronaClient, CoronaServer
 from repro.storage.store import GroupStore
@@ -150,6 +151,7 @@ class TestPersistence:
             server2 = await _deployment(
                 net, store=GroupStore(tmp_path / "d"), name="corona2"
             )
+            assert server2.recovered_groups == 1
             carol = await CoronaClient.connect(("corona2", 0), "carol", transport=net)
             view = await carol.join_group("g")
             assert view.state.get("doc").materialized() == b"durable"
@@ -157,6 +159,34 @@ class TestPersistence:
             await server2.stop()
 
         run(main())
+
+    def test_sharded_restart_reports_recovered_groups(self, tmp_path):
+        # what `corona-server --shards N --data D` prints after a restart
+        async def main():
+            net = MemoryNetwork()
+            server = CoronaServer(shards=3, store_root=tmp_path, transport=net)
+            await server.start("corona", 0)
+            assert server.recovered_groups == 0
+            alice = await CoronaClient.connect(("corona", 0), "alice", transport=net)
+            for name in ("g0", "g1", "g2", "g3"):
+                await alice.create_group(name, persistent=True)
+            await alice.close()
+            await server.stop()
+
+            server2 = CoronaServer(shards=3, store_root=tmp_path, transport=net)
+            await server2.start("corona2", 0)
+            assert server2.recovered_groups == 4
+            await server2.stop()
+
+        run(main())
+
+    def test_the_callers_config_is_not_mutated(self, tmp_path):
+        config = ServerConfig()
+        assert config.persist
+        memory_only = CoronaServer(config=config)
+        assert not memory_only.config.persist and config.persist
+        durable = CoronaServer(config=config, store=GroupStore(tmp_path / "d"))
+        assert durable.config is config
 
     def test_client_disconnect_removes_membership(self, tmp_path):
         async def main():

@@ -1,6 +1,6 @@
 """Sharded host parity: one client script, two drivers.
 
-The asyncio/thread driver (:class:`repro.runtime.shard.ShardedHost`) and
+The asyncio driver (:class:`repro.runtime.shard.ShardedHost`) and
 the simulator's (:class:`repro.sim.shard.ShardedSimHost`) run the same
 :class:`~repro.runtime.sharding.ShardFront`, sessions core, router and
 shard workers.  Driving the same serialized script through both —
@@ -17,7 +17,6 @@ disk, so the comparisons are exact.
 """
 
 import asyncio
-import time
 
 from repro.core.server import ServerConfig
 from repro.net.tcp import TcpTransport
@@ -109,9 +108,19 @@ def _drive_asyncio(root):
             if name == "@front":
                 group, offset = args
                 dst = (host.router.route(group) + offset) % SHARDS
-                if method == "migrate_restart_dst":
-                    _restart_once_installed(host, group, dst)
                 host.migrate_group(group, dst)
+                if method == "migrate_restart_dst":
+                    # step the loop exactly as the sim leg steps its
+                    # kernel: the destination's drain installs the group
+                    # one tick before its migration_installed event
+                    # (its own callback) would commit the move
+                    for _ in range(100):
+                        if group in host.workers[dst].owned_groups:
+                            break
+                        await asyncio.sleep(0)
+                    else:
+                        raise AssertionError("destination never installed")
+                    host.restart_shard(dst)
                 while host.sessions.migrations():
                     await asyncio.sleep(0.01)
                 replies.append(_front_outcome(host))
@@ -129,26 +138,6 @@ def _drive_asyncio(root):
         return stats, replies
 
     return asyncio.run(main())
-
-
-def _restart_once_installed(host, group, dst):
-    """Arm *host* (asyncio) to restart shard *dst* in the front-loop
-    turn that streams *group*'s snapshot to it: wait (blocking the front
-    loop, so the destination's ``migration_installed`` relay queues up
-    behind us) until the destination published the group, then restart
-    it — the state the sim reaches by stepping its kernel."""
-    relay = host.sessions.migration_snapshot
-
-    def hooked(*args):
-        del host.sessions.migration_snapshot
-        relay(*args)
-        deadline = time.monotonic() + 10
-        while group not in host.workers[dst].owned_groups:
-            assert time.monotonic() < deadline, "destination never installed"
-            time.sleep(0.001)
-        host.restart_shard(dst)
-
-    host.sessions.migration_snapshot = hooked
 
 
 def _front_outcome(host):

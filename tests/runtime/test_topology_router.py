@@ -255,11 +255,11 @@ class TestControllerDrive:
         # swallowed, not raised: the controller retries next cycle
         assert host.sessions.migration_log == []
 
-    def test_asyncio_controller_runs_until_stop(self):
+    def test_asyncio_controller_runs_until_stop(self, tmp_path):
         async def main():
             host = ShardedHost(
-                ServerConfig(server_id="server", persist=False),
-                TcpTransport(), shards=2,
+                ServerConfig(server_id="server"),
+                TcpTransport(), shards=2, store_root=tmp_path,
             )
             address = await host.listen(("127.0.0.1", 0))
             alice = await CoronaClient.connect(address, "alice")
@@ -279,8 +279,13 @@ class TestControllerDrive:
             assert record.outcome == "committed"
             assert controller.decisions[0].group == record.group
             old = host.workers[0]
+            closed = []
+            close_store = old.store.close
+            old.store.close = lambda: (closed.append(True), close_store())
             host.apply_topology_actions([RestartShard(0)])
-            assert host.workers[0] is not old and not old._thread.is_alive()
+            assert host.workers[0] is not old and closed == [True]
+            old.post(("list", 0, 0))
+            assert old.queue_depth() == 0, "a retired worker ignores posts"
             await alice.close()
             await host.stop()
             assert host._controller_timer is None

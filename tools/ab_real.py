@@ -13,7 +13,9 @@ working tree as they are now), then runs each side's own
 once per pair — same seed on both sides, alternating which side goes
 first — and parses the final JSON line.  For every ``end_to_end`` metric
 of ``BENCHMARK.json`` it prints both sides' quartiles, the ratio of the
-medians with its base, the pairs the head won strictly, and every run
+medians with its base, the paired relative difference (``head/base - 1``
+within each same-seed pair: the median over pairs with a bootstrap 95 %
+interval over pairs), the pairs the head won strictly, and every run
 made; failed/attempted operations are summed per side.  The output is
 the markdown that goes into ``CHANGES.md``.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -35,6 +38,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 WORKTREE = "worktree"
+
+#: Bootstrap of the paired difference: resamples, and the fixed seed
+#: that makes one set of runs always print one interval.
+RESAMPLES = 4000
+BOOTSTRAP_SEED = 1999
 
 
 def export(rev: str, into: Path) -> None:
@@ -99,6 +107,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def paired_change(
+    base: list[float], head: list[float]
+) -> tuple[float, float, float]:
+    """``head/base - 1`` within each same-seed pair: the median over the
+    pairs, and the 2.5th / 97.5th percentile of that same median over
+    :data:`RESAMPLES` resamples of the pairs (with replacement).  Pairing
+    cancels what a seed and its minute on a shared host do to both
+    sides; with a handful of pairs the interval is little more than the
+    range of the pairs, and it says so by being wide."""
+    diffs = [h / b - 1.0 for b, h in zip(base, head)]
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(
+        statistics.median(rng.choices(diffs, k=len(diffs)))
+        for _ in range(RESAMPLES)
+    )
+    low = medians[round(0.025 * (RESAMPLES - 1))]
+    high = medians[round(0.975 * (RESAMPLES - 1))]
+    return statistics.median(diffs), low, high
+
+
 def _num(value: float) -> str:
     return f"{value:.0f}" if abs(value) >= 1000 else f"{value:.4g}"
 
@@ -119,8 +147,9 @@ def report(
         f"failed/attempted operations: {ops}",
         "",
         "| metric | base q1 / median / q3 | head q1 / median / q3 "
-        "| median ratio (base) | pairs head better |",
-        "|---|---|---|---|---|",
+        "| median ratio (base) | paired head/base − 1, median [95 % CI] "
+        "| pairs head better |",
+        "|---|---|---|---|---|---|",
     ]
     every = []
     for spec in specs:
@@ -133,6 +162,7 @@ def report(
         wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
         ties = sum(h == b for b, h in zip(base, head))
         bq, hq = quartiles(base), quartiles(head)
+        change, low, high = paired_change(base, head)
         verdict = (
             f"equal in {ties}/{len(runs)}" if ties == len(runs)
             else f"{wins}/{len(runs)}"
@@ -140,7 +170,8 @@ def report(
         out.append(
             f"| `{name}` | {' / '.join(map(_num, bq))} "
             f"| {' / '.join(map(_num, hq))} "
-            f"| {hq[1] / bq[1]:.3f}x ({_num(bq[1])} {spec['unit']}) | {verdict} |"
+            f"| {hq[1] / bq[1]:.3f}x ({_num(bq[1])} {spec['unit']}) "
+            f"| {change:+.1%} [{low:+.1%}, {high:+.1%}] | {verdict} |"
         )
         every.append(
             f"`{name}`: " + ", ".join(
