@@ -145,7 +145,7 @@ class RaceRecorder:
             kind = type(effect).__name__
             if kind in ("AppendWal", "WriteCheckpoint"):
                 self.write(lane, f"wal:{effect.group}", loc=kind)
-            elif wire and kind in ("SendMessage", "SendMulticast"):
+            elif wire and kind in ("SendMessage", "SendFanout", "SendMulticast"):
                 message = effect.message
                 obj = self._frame_key(message)
                 if hasattr(message, "_corona_wire_frame"):

@@ -28,9 +28,12 @@ __all__ = [
     "default_baseline_dir",
 ]
 
-#: Header keys recording where/when a result was produced; they differ
-#: between machines by design and are never compared.
-PROVENANCE_KEYS = frozenset({"benchmark", "python", "platform", "generated_by"})
+#: Header keys recording where/when a result was produced — and, in a
+#: committed baseline that was refreshed, the ``reason`` why; they differ
+#: between the two sides by design and are never compared.
+PROVENANCE_KEYS = frozenset(
+    {"benchmark", "python", "platform", "generated_by", "reason"}
+)
 
 #: Benchmarks deterministic enough to gate (virtual-time simulations).
 GATED_BENCHMARKS = (

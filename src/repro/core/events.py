@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Effect",
     "SendMessage",
+    "SendFanout",
     "SendMulticast",
     "StartTimer",
     "CancelTimer",
@@ -78,6 +79,21 @@ class SendMessage(Effect):
     """Write *message* to the connection identified by *conn*."""
 
     conn: ConnId
+    message: "Message"
+
+
+@dataclass(frozen=True)
+class SendFanout(Effect):
+    """Write one *message* to each of *conns*, in order: a group fan-out.
+
+    One effect however many recipients — the interpreter dispatches it
+    once and the host expands it (:meth:`EffectBackend.deliver_fanout`),
+    sizing and classifying the shared frame once.  Every recipient still
+    gets its own point-to-point copy; :class:`SendMulticast` is the one
+    where the medium carries a single copy.
+    """
+
+    conns: tuple[ConnId, ...]
     message: "Message"
 
 

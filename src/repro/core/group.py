@@ -59,6 +59,9 @@ class Group:
         #: Members in join order — deliveries fan out in this order, so the
         #: paper's "last client a broadcast is sent to" is well defined.
         self._members: dict[ClientId, Member] = {}
+        #: The members' connections in join order — what a broadcast fans
+        #: out to.  Rebuilt when membership changes, not per broadcast.
+        self.conns: tuple[ConnId, ...] = ()
 
     # -- membership -----------------------------------------------------------
 
@@ -101,6 +104,7 @@ class Group:
             )
         member = Member(client, conn, role, wants_membership_notices)
         self._members[client] = member
+        self._reindex()
         return member
 
     def remove_member(self, client: ClientId) -> Member:
@@ -110,7 +114,23 @@ class Group:
             raise NotAMemberError(
                 f"{client!r} is not a member of {self.name!r}"
             )
+        self._reindex()
         return member
+
+    def rebind_member(self, client: ClientId, conn: ConnId) -> None:
+        """The member came back on a new connection (transfer resume)."""
+        self.member(client).conn = conn
+        self._reindex()
+
+    def conns_without(self, client: ClientId) -> tuple[ConnId, ...]:
+        """:attr:`conns` minus *client*'s own (EXCLUSIVE delivery)."""
+        member = self._members.get(client)
+        if member is None:
+            return self.conns
+        return tuple(conn for conn in self.conns if conn != member.conn)
+
+    def _reindex(self) -> None:
+        self.conns = tuple(m.conn for m in self._members.values())
 
     def notice_subscribers(self) -> list[Member]:
         """Members who asked for membership-change notifications."""

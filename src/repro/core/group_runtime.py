@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, MutableMapping
 
 from repro.core.errors import AlreadyMemberError, LockHeldError, NotAuthorizedError
-from repro.core.events import AppendWal, SendMulticast, WriteCheckpoint
+from repro.core.events import AppendWal, SendFanout, SendMulticast, WriteCheckpoint
 from repro.core.group import Group
 from repro.core.ids import ClientId, ConnId, GroupId
 from repro.core.locks import LockGrant
@@ -182,7 +182,7 @@ class GroupRuntime:
                 scheduler.submit(self, conn, client, msg, kind)
                 return
         record = self.sequence(kind, msg.object_id, msg.data, client)
-        self.apply_and_deliver(record, msg.mode, exclude_conn=None)
+        self.apply_and_deliver(record, msg.mode)
         owner.send(conn, Ack(msg.request_id))
         owner.group_sequenced(self, record, msg.mode, conn)
 
@@ -190,10 +190,10 @@ class GroupRuntime:
         self,
         record: UpdateRecord,
         mode: DeliveryMode,
-        exclude_conn: ConnId | None,
         delivery: Delivery | None = None,
     ) -> None:
-        """Apply a sequenced record and fan it out to local members.
+        """Apply a sequenced record and fan it out to local members, in
+        join order, as ONE effect however many they are.
 
         Shared by the local fast path, the replicated slow path (where
         the record arrives already sequenced by the coordinator), and
@@ -213,17 +213,14 @@ class GroupRuntime:
                 )
         if delivery is None:
             delivery = Delivery(group.name, record)
-        targets = [
-            m.conn
-            for m in group.members()
-            if not (mode is DeliveryMode.EXCLUSIVE and m.client_id == record.sender)
-            and m.conn != exclude_conn
-        ]
-        if owner.config.use_multicast and len(targets) > 1:
-            owner.emit(SendMulticast(tuple(targets), delivery))
+        if mode is DeliveryMode.EXCLUSIVE:
+            targets = group.conns_without(record.sender)
         else:
-            for conn in targets:
-                owner.send(conn, delivery)
+            targets = group.conns
+        if owner.config.use_multicast and len(targets) > 1:
+            owner.emit(SendMulticast(targets, delivery))
+        elif targets:
+            owner.emit(SendFanout(targets, delivery))
         if owner.config.stateful and owner.config.reduction.should_reduce(
             group.log, group.state
         ):

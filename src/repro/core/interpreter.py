@@ -26,7 +26,10 @@ order, outermost first.  They MUST NOT mutate the message object carried
 by a send effect: messages may already sit in the wire frame cache
 (:mod:`repro.wire.frames`), and a mutated message would desynchronize
 from its cached encoding.  Fault injection therefore drops or replaces
-whole effects, never edits payloads in place.
+whole effects, never edits payloads in place.  A group fan-out reaches
+the chain as ONE ``SendFanout`` effect, not one send per member: a
+middleware that wants per-recipient detail reads ``effect.conns``, and
+dropping the effect drops the delivery for every recipient.
 
 Batching
 --------
@@ -38,7 +41,8 @@ consecutive ``AppendWal`` effects for the *same* group flows through
 :meth:`EffectBackend.append_wal_many` — the WAL group-commit: one
 buffered write and one flush for the whole sequenced batch.
 Middlewares still see each effect of the run individually, so metrics
-and fault injection stay per-message.
+and fault injection stay per-message.  A ``SendFanout`` is one effect to
+many connections and never part of a run.
 
 Shared host semantics (normative)
 ---------------------------------
@@ -56,6 +60,13 @@ Shared host semantics (normative)
                      where superseded ``STATE`` deliveries may later be
                      coalesced (``outbox_coalesced``) or the consumer
                      kicked (``outbox_kicks``)
+``SendFanout``       one ``SendMessage`` per recipient, in tuple order,
+                     as far as the counters go: ``sends`` +
+                     ``send_drops`` grow by exactly ``len(conns)``;
+                     dropped recipients are logged in ONE warning per
+                     fan-out carrying their count, and delivery to the
+                     others proceeds.  A middleware sees (and a
+                     ``FaultInjector`` drops) the whole fan-out
 ``SendMulticast``    unknown or kicked connections in the fan-out are
                      skipped and counted in ``multicast_drops``; delivery
                      to the remaining connections proceeds
@@ -86,6 +97,7 @@ from repro.core.events import (
     Notify,
     OpenConnection,
     PurgeGroupStorage,
+    SendFanout,
     SendMessage,
     SendMulticast,
     ShutDown,
@@ -218,14 +230,25 @@ class EffectBackend:
             ok = self.deliver(conn, message) and ok
         return ok
 
-    def deliver_multicast(self, conns: Sequence[int], message: Any) -> int:
-        """Deliver one message to many connections; returns how many
-        connections actually received it (unknown ones are skipped)."""
+    def deliver_fanout(self, conns: Sequence[int], message: Any) -> int:
+        """Queue one *message* on each of *conns*, in order; returns how
+        many accepted it (gone and kicked connections are skipped).
+
+        Default: per-recipient :meth:`deliver` calls.  A host overrides
+        it to do once what does not depend on the recipient (sizing and
+        classifying the frame, one relay to the front)."""
         delivered = 0
         for conn in conns:
             if self.deliver(conn, message):
                 delivered += 1
         return delivered
+
+    def deliver_multicast(self, conns: Sequence[int], message: Any) -> int:
+        """Deliver one message to many connections as one copy on the
+        medium; returns how many connections actually received it
+        (unknown ones are skipped).  Default: a host without multicast
+        support degrades to the point-to-point fan-out."""
+        return self.deliver_fanout(conns, message)
 
     # -- timers ---------------------------------------------------------
 
@@ -529,6 +552,17 @@ def build_interpreter(
                 len(run), conn,
             )
 
+    def send_fanout(effect: SendFanout) -> None:
+        delivered = backend.deliver_fanout(effect.conns, effect.message)
+        stats.sends += delivered
+        dropped = len(effect.conns) - delivered
+        if dropped:
+            stats.send_drops += dropped
+            logger.warning(
+                "fan-out dropped %d unknown or kicked connection(s) of %d",
+                dropped, len(effect.conns),
+            )
+
     def send_multicast(effect: SendMulticast) -> None:
         delivered = backend.deliver_multicast(effect.conns, effect.message)
         stats.multicast_fanout += delivered
@@ -590,6 +624,7 @@ def build_interpreter(
 
     interp.register(SendMessage, send)
     interp.register_batch(SendMessage, key=lambda e: e.conn, flush=send_batch)
+    interp.register(SendFanout, send_fanout)
     interp.register(SendMulticast, send_multicast)
     interp.register(StartTimer, start_timer)
     interp.register(CancelTimer, cancel_timer)

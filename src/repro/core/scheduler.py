@@ -352,8 +352,6 @@ class CommandScheduler:
         """Replay the serial broadcast tail for one command."""
         runtime = cmd.runtime
         core = self.core
-        runtime.apply_and_deliver(
-            cmd.record, cmd.mode, exclude_conn=None, delivery=cmd.delivery
-        )
+        runtime.apply_and_deliver(cmd.record, cmd.mode, delivery=cmd.delivery)
         core.send(cmd.conn, Ack(cmd.request_id))
         core.group_sequenced(runtime, cmd.record, cmd.mode, cmd.conn)

@@ -500,14 +500,10 @@ class ServerCore(SessionCore):
         group: Group,
         record: UpdateRecord,
         mode: DeliveryMode,
-        exclude_conn: ConnId | None,
-        delivery: "Delivery | None" = None,
     ) -> None:
         """Apply a sequenced record on *group*'s runtime (compatibility
         entry point for callers holding a :class:`Group`)."""
-        self.runtimes[group.name].apply_and_deliver(
-            record, mode, exclude_conn, delivery=delivery
-        )
+        self.runtimes[group.name].apply_and_deliver(record, mode)
 
     # ------------------------------------------------------------------
     # chunked state transfer (contract: docs/protocol.md)
@@ -596,7 +592,7 @@ class ServerCore(SessionCore):
             )
         self.stats.transfer_resumes += 1
         if group.is_member(client):
-            group.member(client).conn = conn
+            group.rebind_member(client, conn)
         else:
             member = group.add_member(
                 client, conn, session.role,

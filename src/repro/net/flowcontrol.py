@@ -48,6 +48,7 @@ from repro.wire.messages import (
 __all__ = [
     "Lane",
     "lane_of",
+    "bulk_class",
     "FlowControlConfig",
     "DEFAULT_FLOW",
     "policy_knobs",
@@ -124,8 +125,14 @@ def policy_knobs() -> tuple[str, ...]:
     return tuple(f.name for f in fields(FlowControlConfig))
 
 
-def _is_state_delivery(message: Any) -> bool:
-    return type(message) is Delivery and message.update.kind is UpdateKind.STATE
+def bulk_class(message: Any) -> bool | None:
+    """How :meth:`BoundedOutbox.push` treats *message*: ``None`` for a
+    control frame, else whether the bulk frame is a coalescible ``STATE``
+    delivery.  A fan-out works it out once and passes it to every push."""
+    kind = type(message)
+    if kind is Delivery:
+        return message.update.kind is UpdateKind.STATE
+    return False if kind is StateChunk else None
 
 
 def _annotate(delivery: Delivery, skipped: tuple[int, ...]) -> Delivery:
@@ -174,7 +181,7 @@ class BoundedOutbox:
 
     @property
     def depth(self) -> int:
-        return len(self)
+        return len(self._control) + len(self._bulk)
 
     @property
     def queued_bytes(self) -> int:
@@ -191,34 +198,51 @@ class BoundedOutbox:
 
     # -- producing --------------------------------------------------------
 
-    def push(self, message: Any) -> bool:
+    def push(
+        self, message: Any, size: int | None = None, is_state: bool | None = None
+    ) -> bool:
         """Queue *message*; returns False iff it was refused (kicked).
 
         Control frames are always accepted — they are small, bounded by
         protocol structure, and must not be lost (a refused reply would
         wedge a client).  Bulk frames are subject to the full overflow
         policy: watermark coalescing, then a sweep, then the kick.
+
+        *size* and *is_state* are the caller's ``frames.frame_size(message)``
+        and ``bulk_class(message)``, for a caller that pushes one frame
+        on many outboxes; left out, they are worked out here.  Either
+        way the outbox ends up in the same state.
         """
         if self.kicked:
             return False
-        if lane_of(message) is Lane.CONTROL:
-            self._control.append(message)
-            self._account(frames.frame_size(message))
-            return True
-        cfg = self._config
-        if len(self._bulk) >= cfg.coalesce_watermark and _is_state_delivery(message):
-            message = self._coalesce_incoming(message)
-        size = frames.frame_size(message)
-        if (self.depth + 1 > cfg.max_outbox_frames
-                or self._bytes + size > cfg.max_outbox_bytes):
-            self._sweep()
+        if size is None:
             size = frames.frame_size(message)
-            if (self.depth + 1 > cfg.max_outbox_frames
+        if is_state is None:
+            is_state = bulk_class(message)
+        control, bulk = self._control, self._bulk
+        if is_state is None:
+            control.append(message)
+        else:
+            cfg = self._config
+            if is_state and len(bulk) >= cfg.coalesce_watermark:
+                merged = self._coalesce_incoming(message)
+                if merged is not message:
+                    message, size = merged, frames.frame_size(merged)
+            if (len(control) + len(bulk) >= cfg.max_outbox_frames
                     or self._bytes + size > cfg.max_outbox_bytes):
-                self._kick(DisconnectReason.SLOW_CONSUMER)
-                return False
-        self._bulk.append(message)
-        self._account(size)
+                self._sweep()
+                if (len(control) + len(bulk) >= cfg.max_outbox_frames
+                        or self._bytes + size > cfg.max_outbox_bytes):
+                    self._kick(DisconnectReason.SLOW_CONSUMER)
+                    return False
+            bulk.append(message)
+        # _account(size), inline: this is the per-recipient hot path
+        queued = self._bytes = self._bytes + size
+        depth = len(control) + len(bulk)
+        if depth > self.peak_depth:
+            self.peak_depth = depth
+        if queued > self.peak_bytes:
+            self.peak_bytes = queued
         return True
 
     # -- draining ---------------------------------------------------------
@@ -257,7 +281,7 @@ class BoundedOutbox:
         """Drop the queued STATE delivery that *message* supersedes."""
         key = (message.group, message.update.object_id)
         for index, queued in enumerate(self._bulk):
-            if (_is_state_delivery(queued)
+            if (bulk_class(queued)
                     and (queued.group, queued.update.object_id) == key):
                 return self._drop_at(index, incoming=message)
         return message
@@ -304,7 +328,7 @@ class BoundedOutbox:
         stale: int | None = None
         for index in range(len(self._bulk) - 1, -1, -1):
             queued = self._bulk[index]
-            if not _is_state_delivery(queued):
+            if not bulk_class(queued):
                 continue
             key = (queued.group, queued.update.object_id)
             if key in seen:

@@ -72,6 +72,12 @@ class _TcpFrames:
             self._transport.writelines(views)
         return self._transport.get_write_buffer_size() > self._high_water
 
+    def abort(self) -> None:
+        """Close at once, discarding what the transport still buffers
+        (``close`` waits for a peer that may never read it)."""
+        self._closed = True
+        self._transport.abort()
+
     async def send(self, message: Message) -> None:
         self.write_many((message,))
         await self.drained()

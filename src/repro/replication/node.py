@@ -879,9 +879,7 @@ class ReplicatedServerCore(ServerCore):
             else:
                 for record in snapshot.updates:
                     if record.seqno >= group.log.next_seqno:
-                        self.apply_and_deliver(
-                            group, record, DeliveryMode.INCLUSIVE, exclude_conn=None
-                        )
+                        self.apply_and_deliver(group, record, DeliveryMode.INCLUSIVE)
         for buffered in self._buffered.pop(name, []):
             if buffered.update.seqno >= group.log.next_seqno:
                 self._apply_sequenced(group, buffered)
@@ -1026,7 +1024,7 @@ class ReplicatedServerCore(ServerCore):
             sender=msg.sender,
             timestamp=self.clock.now(),
         )
-        self.apply_and_deliver(group, record, msg.mode, exclude_conn=None)
+        self.apply_and_deliver(group, record, msg.mode)
         self._distribute(msg.group, record, msg.mode, origin=msg.origin,
                          forward_id=msg.forward_id)
 
@@ -1063,7 +1061,7 @@ class ReplicatedServerCore(ServerCore):
         self._ack_own_forward(msg)
 
     def _apply_sequenced(self, group: Group, msg: SequencedBcast) -> None:
-        self.apply_and_deliver(group, msg.update, msg.mode, exclude_conn=None)
+        self.apply_and_deliver(group, msg.update, msg.mode)
 
     def _ack_own_forward(self, msg: SequencedBcast) -> None:
         if msg.origin != self.server_id:

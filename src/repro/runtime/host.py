@@ -42,15 +42,16 @@ from __future__ import annotations
 import asyncio
 import logging
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.clock import Clock, MonotonicClock
 from repro.core.events import Effect, ProtocolCore
 from repro.core.interpreter import Middleware
-from repro.net.flowcontrol import FlowControlConfig
+from repro.net.flowcontrol import FlowControlConfig, bulk_class
 from repro.net.transport import Connection, Listener, Transport
 from repro.runtime.backend import HostBackend
 from repro.storage.store import GroupStore
+from repro.wire import frames
 
 __all__ = ["AsyncioHost"]
 
@@ -59,6 +60,12 @@ logger = logging.getLogger("repro.runtime")
 #: Seconds between background WAL flushes: the bound on the loss window
 #: of the paper's "logging in parallel with delivery".
 FLUSH_INTERVAL = 0.2
+
+#: Seconds a lag-kicked connection gets to take its ``Disconnect`` notice
+#: and close in an orderly way.  One still open after that belongs to a
+#: peer that stopped reading for good: it is aborted, unflushed bytes
+#: and all, so its membership, locks and memory are reclaimed.
+KICK_GRACE = 5.0
 
 
 class AsyncioHost(HostBackend):
@@ -84,6 +91,9 @@ class AsyncioHost(HostBackend):
         self._flush_scheduled = False
         #: Congested connections: not flushed until ``drained()`` returns.
         self._parked: set[int] = set()
+        #: Lag-kicked connections and the timer that aborts each one if
+        #: it outlives :data:`KICK_GRACE`.
+        self._kick_timers: dict[int, asyncio.TimerHandle] = {}
         #: I/O gauges.  Like ``outbox_peak_depth`` they depend on how the
         #: loop interleaves reads and flushes, so they are per-backend
         #: observability, deliberately not in the parity-checked
@@ -117,6 +127,8 @@ class AsyncioHost(HostBackend):
         if self._listener is not None:
             await self._listener.close()
         self._cancel_timers()
+        while self._kick_timers:
+            self._kick_timers.popitem()[1].cancel()
         # forget them first: a close observed from here on is ours, not
         # an event for the core
         conns, self._conns = self._conns, {}
@@ -158,12 +170,57 @@ class AsyncioHost(HostBackend):
         accepted = outbox.push(message)
         if conn not in self._dirty:
             self._mark_dirty(conn)
+        if not accepted and conn not in self._kick_timers:
+            self._arm_kick_timer(conn)
         return accepted
 
     # deliver_batch: the base per-message loop is already optimal here —
     # the flush writes everything queued behind one connection in a
     # single write_many, and per-push accept/refuse results match the
     # simulator's push sequence counter-for-counter.
+
+    def deliver_fanout(self, conns: Sequence[int], message: Any) -> int:
+        """:meth:`deliver` to each of *conns*, with everything that is
+        the same for every recipient — the frame's size and its
+        flow-control class — worked out once."""
+        size = frames.frame_size(message)
+        is_state = bulk_class(message)
+        outboxes, dirty = self._outboxes, self._dirty
+        delivered = 0
+        for conn in conns:
+            outbox = outboxes.get(conn)
+            if outbox is None:
+                continue
+            if outbox.push(message, size, is_state):
+                delivered += 1
+            elif conn not in self._kick_timers:
+                self._arm_kick_timer(conn)
+            if conn not in dirty:
+                self._mark_dirty(conn)
+        return delivered
+
+    def _arm_kick_timer(self, conn: int) -> None:
+        self._kick_timers[conn] = self.call_later(
+            KICK_GRACE, self._abort_kicked, conn
+        )
+
+    def _abort_kicked(self, conn_id: int) -> None:
+        """:data:`KICK_GRACE` ran out with the kicked connection still
+        open (parked behind a peer that never reads, or closing behind a
+        write buffer that never drains): drop it now.  The read side
+        observes the abort and delivers the one ``on_closed``."""
+        # still registered: _drop_connection cancels the timer of a
+        # connection that closed in time
+        del self._kick_timers[conn_id]
+        conn = self._conns[conn_id]
+        logger.warning("aborting lag-kicked conn %d: still open after %.1fs",
+                       conn_id, KICK_GRACE)
+        # optional like attach(): a connection whose close() cannot
+        # block on unflushed writes needs no abort()
+        if hasattr(conn, "abort"):
+            conn.abort()
+        else:
+            self._spawn(conn.close())
 
     def _mark_dirty(self, conn: int) -> None:
         if conn in self._parked:
@@ -328,6 +385,9 @@ class AsyncioHost(HostBackend):
         self._retire_outbox(conn_id)
         self._dirty.pop(conn_id, None)
         self._parked.discard(conn_id)
+        kick_timer = self._kick_timers.pop(conn_id, None)
+        if kick_timer is not None:
+            kick_timer.cancel()
         self.dispatch(self.core.on_closed(conn_id))
 
     # ------------------------------------------------------------------

@@ -60,11 +60,12 @@ import bisect
 import dataclasses
 import hashlib
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.auth import AllowAnyClient
 from repro.core.clock import Clock
 from repro.core.errors import CoronaError, ProtocolError, StaleEpochError
+from repro.core.events import SendFanout
 from repro.core.group_runtime import GroupRuntime
 from repro.core.ids import ClientId, ConnId, GroupId
 from repro.core.interpreter import DispatchStats, EffectInterpreter, Middleware
@@ -906,6 +907,14 @@ class ShardWorkerBase(HostBackend):
             return False
         self._relay(lambda: self._host.sessions.shard_reply(conn, messages))
         return True
+
+    def deliver_fanout(self, conns: Sequence[int], message: Any) -> int:
+        """One relay for the whole fan-out, not one per recipient: the
+        front's sessions core re-emits it as the one effect it was."""
+        live = tuple(filter(self.conns.__contains__, conns))
+        if live:
+            self._relay(lambda: self._host.sessions.emit(SendFanout(live, message)))
+        return len(live)
 
     def migration_event_to_front(self, method: str, *args: Any) -> None:
         """Send a migration lifecycle event to the front's sessions

@@ -20,10 +20,17 @@ is folded into the fixed overhead) and each ``SendMessage`` effect occupies
 the CPU for ``send_cost(size)`` *sequentially* before the bytes enter the
 network — this serialized fan-out is exactly how the evaluated Corona
 implementation multicast "via multiple point-to-point messages" (§5.1).
-Consecutive sends to the *same* connection coalesce into one batch charged
-``send_cost(total bytes)`` — one flush, mirroring the asyncio writer's
-batching — while sends to distinct connections keep their per-connection
-charge, preserving the linear fan-out the paper measures.  Message sizes
+A group fan-out arrives as ONE ``SendFanout`` effect and is billed
+recipient by recipient all the same: this host keeps the interpreter's
+default ``deliver_fanout``, a ``deliver`` per connection in tuple order,
+so every recipient costs its own ``send_cost(size)``.
+Consecutive ``SendMessage`` effects to the *same* connection coalesce into
+one batch charged ``send_cost(total bytes)`` — one flush, mirroring the
+asyncio writer's batching — while sends to distinct connections keep their
+per-connection charge, preserving the linear fan-out the paper measures.
+A fan-out is its own effect and never joins such a run: the ``Ack`` that
+follows a broadcast is a flush of its own even when the sender was the
+fan-out's last recipient.  Message sizes
 come from the frame cache (:mod:`repro.wire.frames`), so sizing a message
 the transport also encodes costs exactly one serialization.
 

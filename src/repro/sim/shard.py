@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.clock import Clock
-from repro.core.interpreter import Middleware
+from repro.core.interpreter import EffectBackend, Middleware
 from repro.core.scheduler import stable_lane
 from repro.core.server import ServerConfig
 from repro.runtime.sharding import ShardFront, ShardWorkerBase, front_middlewares
@@ -261,6 +261,11 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
             return super().deliver_batch(conn, messages)
         finally:
             host._lane, host._exec_floor = prev
+
+    def deliver_fanout(self, conns: Sequence[int], message: Any) -> int:
+        # recipient by recipient, not the base worker's single relay:
+        # each one's charge lands on the lane its connection maps to
+        return EffectBackend.deliver_fanout(self, conns, message)
 
     def migration_event_delay(self, method: str, args: tuple) -> float:
         # streaming the frozen group's state dominates the handoff;

@@ -67,11 +67,20 @@ def _transfer_exports():
     )
 
 
+def _effect_exports():
+    from repro.core import events
+
+    # every concrete Effect in the public catalogue, the fan-out included
+    return [cls.__name__ for cls in events.Effect.__subclasses__()
+            if cls.__name__ in events.__all__]
+
+
 #: gate -> (exports the gate must demand, a name to strip from the doc)
 EXPECTED = {
     "flow": (_flow_exports, "coalesce_watermark"),
     "topology": (_topology_exports, "hot_queue_depth"),
     "transfer": (_transfer_exports, "resume_ttl"),
+    "effects": (_effect_exports, "SendFanout"),
 }
 
 

@@ -117,6 +117,33 @@ class TestRecorder:
         assert events[1].obj == events[2].obj
         assert len(passed) == 3  # middleware always forwards
 
+    def test_middleware_records_a_fanouts_frame_fill(self):
+        """Every broadcast's first encode happens under its SendFanout:
+        drop that name from the middleware and the frame-cache *write*
+        vanishes from the trace, leaving reads nothing to race with."""
+        class SendFanout:
+            def __init__(self, conns, message):
+                self.conns, self.message = conns, message
+
+        class SendMessage:
+            def __init__(self, message):
+                self.message = message
+
+        class Msg:
+            pass
+
+        recorder = RaceRecorder()
+        mw = recorder.middleware("front")
+        msg = Msg()
+        mw(SendFanout((1, 2, 3), msg), lambda e: None)  # first encode: write
+        msg._corona_wire_frame = b"cached"
+        mw(SendMessage(msg), lambda e: None)            # a replay: read
+        events = recorder.events()
+        assert [(e.kind, e.loc) for e in events] == [
+            ("write", "SendFanout"), ("read", "SendMessage"),
+        ]
+        assert events[0].obj == events[1].obj
+
     def test_middleware_wire_false_skips_frame_events(self):
         class SendMessage:
             def __init__(self, message):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.events import (
     AppendWal,
@@ -11,10 +11,24 @@ from repro.core.events import (
     CloseConnection,
     Effect,
     Notify,
+    SendFanout,
     SendMessage,
     StartTimer,
     WriteCheckpoint,
 )
+from repro.wire.messages import Delivery
+
+
+def sends_in(effects: list[Effect]) -> Iterator[tuple[int, Any]]:
+    """Every ``(conn, message)`` *effects* write, in wire order.  The one
+    place in the tests that knows a group fan-out is a single
+    ``SendFanout`` effect: it expands to one send per recipient."""
+    for effect in effects:
+        if isinstance(effect, SendMessage):
+            yield effect.conn, effect.message
+        elif isinstance(effect, SendFanout):
+            for conn in effect.conns:
+                yield conn, effect.message
 
 
 class CoreDriver:
@@ -58,11 +72,16 @@ class CoreDriver:
     def sent_to(self, conn: int, effects: list[Effect] | None = None) -> list[Any]:
         """Messages sent to *conn* (within *effects* or everything so far)."""
         pool = self.effects if effects is None else effects
-        return [e.message for e in pool if isinstance(e, SendMessage) and e.conn == conn]
+        return [message for to, message in sends_in(pool) if to == conn]
+
+    def deliveries_to(self, conn: int, effects: list[Effect] | None = None) -> list[Delivery]:
+        """The sequenced deliveries among :meth:`sent_to`."""
+        return [m for m in self.sent_to(conn, effects) if isinstance(m, Delivery)]
 
     def all_sends(self, effects: list[Effect] | None = None) -> list[SendMessage]:
+        """One ``SendMessage`` per recipient, fan-outs expanded."""
         pool = self.effects if effects is None else effects
-        return [e for e in pool if isinstance(e, SendMessage)]
+        return [SendMessage(to, message) for to, message in sends_in(pool)]
 
     def of_type(self, effect_type: type, effects: list[Effect] | None = None) -> list[Effect]:
         pool = self.effects if effects is None else effects

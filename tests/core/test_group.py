@@ -25,6 +25,22 @@ class TestMembership:
             group.add_member(name, conn=i, role=MemberRole.PRINCIPAL)
         assert [m.client_id for m in group.members()] == ["c", "a", "b"]
 
+    def test_conns_follow_membership_in_join_order(self):
+        group = _group()
+        assert group.conns == ()
+        for i, name in enumerate(["c", "a", "b"]):
+            group.add_member(name, conn=10 + i, role=MemberRole.PRINCIPAL)
+        assert group.conns == (10, 11, 12)
+        assert group.conns_without("a") == (10, 12)
+        assert group.conns_without("stranger") is group.conns
+        group.remove_member("c")
+        assert group.conns == (11, 12)
+        group.rebind_member("b", conn=99)
+        assert group.member("b").conn == 99
+        assert group.conns == (11, 99)
+        with pytest.raises(NotAMemberError):
+            group.rebind_member("ghost", conn=5)
+
     def test_duplicate_join_rejected(self):
         group = _group()
         group.add_member("alice", 1, MemberRole.PRINCIPAL)

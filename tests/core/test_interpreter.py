@@ -10,6 +10,7 @@ from repro.core.events import (
     CancelTimer,
     Effect,
     Notify,
+    SendFanout,
     SendMessage,
     SendMulticast,
     ShutDown,
@@ -112,6 +113,61 @@ class TestDispatch:
         assert interp.stats.multicast_drops == 2
         assert backend.actions[0] == ("deliver", 1, "ok")
         assert any("unknown or kicked connection" in r.message for r in caplog.records)
+
+
+class TestFanout:
+    def test_default_backend_delivers_per_recipient_in_tuple_order(self):
+        backend = RecordingBackend(known_conns=(1, 2, 3))
+        interp = build_interpreter(backend)
+        interp.execute([SendFanout((3, 1, 2), "d"), SendMessage(2, "ack")])
+        # a fan-out never joins a same-connection run with what follows
+        assert backend.actions == [
+            ("deliver", 3, "d"), ("deliver", 1, "d"), ("deliver", 2, "d"),
+            ("deliver", 2, "ack"),
+        ]
+        assert interp.stats.sends == 4 and interp.stats.send_drops == 0
+
+    def test_counters_are_per_recipient_but_the_warning_is_per_fanout(self, caplog):
+        backend = RecordingBackend(known_conns=(1,))
+        interp = build_interpreter(backend)
+        with caplog.at_level(logging.WARNING, logger="repro.core.interpreter"):
+            interp.execute([SendFanout((9, 1, 8, 7), "d")])
+            interp.execute([SendFanout((1,), "all delivered")])
+        assert (interp.stats.sends, interp.stats.send_drops) == (2, 3)
+        (record,) = caplog.records  # one line for three dead recipients
+        assert "3" in record.getMessage() and "4" in record.getMessage()
+
+    def test_a_backend_override_replaces_the_loop(self):
+        class OneShot(RecordingBackend):
+            def deliver_fanout(self, conns, message):
+                self.actions.append(("fanout", tuple(conns), message))
+                return len(conns) - 1
+
+        backend = OneShot()
+        interp = build_interpreter(backend)
+        interp.execute([SendFanout((1, 2, 3), "d")])
+        assert backend.actions == [("fanout", (1, 2, 3), "d")]
+        assert (interp.stats.sends, interp.stats.send_drops) == (2, 1)
+
+    def test_unicast_multicast_degrades_to_the_fanout_loop(self):
+        backend = RecordingBackend(known_conns=(1, 2))
+        interp = build_interpreter(backend)
+        interp.execute([SendMulticast((1, 9, 2), "mc")])
+        assert backend.actions == [("deliver", 1, "mc"), ("deliver", 2, "mc")]
+        assert (interp.stats.multicast_fanout, interp.stats.multicast_drops) == (2, 1)
+        assert interp.stats.sends == 0
+
+    def test_middleware_sees_one_effect_and_a_fault_drops_every_recipient(self):
+        backend = RecordingBackend()
+        counters = {}
+        faults = FaultInjector()
+        faults.drop(SendFanout, lambda e: 2 in e.conns, times=1)
+        interp = build_interpreter(backend, [metrics_middleware(counters), faults])
+        interp.execute([SendFanout((1, 2), "lost"), SendFanout((1, 2), "kept")])
+        assert counters == {"SendFanout": 2}
+        assert faults.dropped == [SendFanout((1, 2), "lost")]
+        assert backend.actions == [("deliver", 1, "kept"), ("deliver", 2, "kept")]
+        assert interp.stats.sends == 2 and interp.stats.send_drops == 0
 
 
 class TestBatching:

@@ -9,7 +9,7 @@ the scheduler's counters record what speculation actually did.
 import pytest
 
 from repro.core.clock import ManualClock
-from repro.core.events import AppendWal, SendMessage
+from repro.core.events import AppendWal
 from repro.core.scheduler import (
     CommandScheduler,
     ExecutionEngine,
@@ -200,7 +200,7 @@ class TestBarriers:
             conn, BcastUpdateRequest(11, "nope", "doc", b"x")
         )
         assert driver.core.scheduler.pending == 0
-        sent = [e.message for e in effects if isinstance(e, SendMessage)]
+        sent = [send.message for send in driver.all_sends(effects)]
         # the pending command's effects precede the error reply
         assert any(isinstance(m, Ack) and m.request_id == 10 for m in sent)
         assert isinstance(sent[-1], ErrorReply)
@@ -241,12 +241,7 @@ class TestEngines:
             )
         driver.effects.extend(driver.core.end_batch())
         driver.core.scheduler.engine.close()
-        deliveries = [
-            e.message
-            for e in driver.effects[before:]
-            if isinstance(e, SendMessage) and e.conn == conns[0]
-            and isinstance(e.message, Delivery)
-        ]
+        deliveries = driver.deliveries_to(conns[0], driver.effects[before:])
         assert [d.update.seqno for d in deliveries] == list(range(6))
 
     def test_serial_config_has_no_scheduler(self):

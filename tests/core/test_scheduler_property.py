@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import ManualClock
-from repro.core.events import AppendWal, SendMessage
+from repro.core.events import AppendWal
 from repro.core.server import ServerConfig, ServerCore
 from repro.wire.messages import (
     BcastStateRequest,
@@ -21,7 +21,7 @@ from repro.wire.messages import (
     Hello,
     JoinGroupRequest,
 )
-from tests.core.helpers import CoreDriver
+from tests.core.helpers import CoreDriver, sends_in
 
 CLIENTS = ("alice", "bob", "carol")
 #: A small pool forces real overlap; hypothesis picks how much.
@@ -66,11 +66,7 @@ def _run(stream, exec_lanes, window=64):
 
     effects = driver.effects[before:]
     group = driver.core.groups["g"]
-    sends = [
-        (e.conn, e.message)
-        for e in effects
-        if isinstance(e, SendMessage)
-    ]
+    sends = list(sends_in(effects))
     wal = [(e.group, e.seqno, e.record) for e in effects if isinstance(e, AppendWal)]
     seqnos = [
         m.update.seqno for _, m in sends

@@ -245,10 +245,7 @@ class TestMulticast:
             conns["alice"], BcastUpdateRequest(20, "g", "o", b"d")
         )
         for name in ("alice", "bob"):
-            deliveries = [
-                m for m in driver.sent_to(conns[name], effects)
-                if isinstance(m, Delivery)
-            ]
+            deliveries = driver.deliveries_to(conns[name], effects)
             assert len(deliveries) == 1
             assert deliveries[0].update.data == b"d"
             assert deliveries[0].update.sender == "alice"
@@ -260,27 +257,22 @@ class TestMulticast:
             conns["alice"],
             BcastUpdateRequest(20, "g", "o", b"d", DeliveryMode.EXCLUSIVE),
         )
-        alice_msgs = driver.sent_to(conns["alice"], effects)
-        assert not any(isinstance(m, Delivery) for m in alice_msgs)
-        assert Ack(20) in alice_msgs
-        assert any(isinstance(m, Delivery) for m in driver.sent_to(conns["bob"], effects))
+        assert driver.deliveries_to(conns["alice"], effects) == []
+        assert Ack(20) in driver.sent_to(conns["alice"], effects)
+        assert len(driver.deliveries_to(conns["bob"], effects)) == 1
 
     def test_seqnos_are_contiguous_and_total(self, clock):
         driver, conns = self._room(clock)
         driver.deliver(conns["alice"], BcastUpdateRequest(20, "g", "o", b"a"))
         driver.deliver(conns["bob"], BcastUpdateRequest(21, "g", "o", b"b"))
-        deliveries = [
-            m for m in driver.sent_to(conns["alice"]) if isinstance(m, Delivery)
-        ]
+        deliveries = driver.deliveries_to(conns["alice"])
         assert [d.update.seqno for d in deliveries] == [0, 1]
 
     def test_timestamp_from_service_clock(self, clock):
         driver, conns = self._room(clock)
         clock.advance(42.0)
         driver.deliver(conns["alice"], BcastUpdateRequest(20, "g", "o", b"a"))
-        (delivery,) = [
-            m for m in driver.sent_to(conns["bob"]) if isinstance(m, Delivery)
-        ]
+        (delivery,) = driver.deliveries_to(conns["bob"])
         assert delivery.update.timestamp == 42.0
 
     def test_delivery_fanout_in_join_order(self, clock):
@@ -323,9 +315,7 @@ class TestMulticast:
         watcher = _client(driver, "watcher")
         _join(driver, watcher, rid=15, role=MemberRole.OBSERVER)
         effects = driver.deliver(conns["alice"], BcastUpdateRequest(31, "g", "o", b"d"))
-        assert any(
-            isinstance(m, Delivery) for m in driver.sent_to(watcher, effects)
-        )
+        assert len(driver.deliveries_to(watcher, effects)) == 1
 
     def test_stateful_server_logs_to_wal(self, clock):
         driver, conns = self._room(clock)
@@ -341,7 +331,7 @@ class TestMulticast:
         assert driver.of_type(AppendWal, effects) == []
         assert driver.core.groups["g"].log.records() == ()
         # but delivery and sequencing still happen
-        assert any(isinstance(m, Delivery) for m in driver.sent_to(conns["bob"], effects))
+        assert len(driver.deliveries_to(conns["bob"], effects)) == 1
 
 
 class TestLeaveAndFailure:

@@ -52,7 +52,7 @@ from repro.wire.messages import (
     TransferResume,
     TransferSpec,
 )
-from tests.core.helpers import CoreDriver
+from tests.core.helpers import CoreDriver, sends_in
 
 
 def _snapshot(payload_bytes=1000):
@@ -376,8 +376,7 @@ class TestServerChunkedTransfer:
         effects = driver.deliver(seeder, BcastUpdateRequest(
             9, "g", "o", b"live",
         ))
-        deliveries = [m for m in driver.sent_to(joiner, effects)
-                      if isinstance(m, Delivery)]
+        deliveries = driver.deliveries_to(joiner, effects)
         assert deliveries and deliveries[0].update.data == b"live"
 
     def test_disconnect_pauses_and_resume_continues(self):
@@ -685,10 +684,12 @@ class _Loop:
 
     def _collect_server(self, effects):
         for effect in effects:
-            if isinstance(effect, SendMessage) and effect.conn == self.s_conn:
-                self.to_client.append(effect.message)
-            elif isinstance(effect, CloseConnection) and effect.conn == self.s_conn:
+            if isinstance(effect, CloseConnection) and effect.conn == self.s_conn:
                 self.cut()
+            else:
+                self.to_client.extend(
+                    m for to, m in sends_in([effect]) if to == self.s_conn
+                )
 
     def _collect_client(self, effects):
         for effect in effects:

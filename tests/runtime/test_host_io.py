@@ -15,11 +15,14 @@ import pytest
 from repro.core.events import (
     CloseConnection,
     ProtocolCore,
+    SendFanout,
     SendMessage,
     SendMulticast,
 )
+from repro.net.flowcontrol import BoundedOutbox
 from repro.net.memory import MemoryNetwork
 from repro.net.tcp import TcpTransport
+from repro.runtime import host as host_module
 from repro.runtime.host import AsyncioHost
 from repro.wire.frames import frame_size
 from repro.wire.framing import MAX_FRAME_SIZE, FrameDecoder
@@ -87,6 +90,7 @@ class ScriptedConnection:
         self.congested = False
         self.writable = asyncio.Event()
         self.closed = asyncio.Event()
+        self.aborted = False
 
     def write_many(self, messages):
         assert not self.closed.is_set()
@@ -107,6 +111,10 @@ class ScriptedConnection:
         return None
 
     async def close(self):
+        self.closed.set()
+
+    def abort(self):
+        self.aborted = True
         self.closed.set()
 
 
@@ -141,6 +149,33 @@ class TestFlushBatching:
             await ticks()
             assert all(conn.batches == [[delivery(1), delivery(2)]] for conn in conns)
             assert (host.flush_ticks, host.socket_writes, host.frames_written) == (1, 16, 32)
+            await host.stop()
+
+        run(main())
+
+    def test_a_fanout_is_one_sized_push_per_recipient_through_the_one_entry_point(
+        self, monkeypatch
+    ):
+        pushes = []
+        real_push = BoundedOutbox.push
+
+        def spy(box, message, size=None, is_state=None):
+            pushes.append((type(message), size, is_state))
+            return real_push(box, message, size, is_state)
+
+        # rebound at class level after the host exists, the way
+        # benchmarks/real/tracer.py wraps a live server
+        async def main():
+            host, _core, conns, ids = await scripted_host(16)
+            monkeypatch.setattr(BoundedOutbox, "push", spy)
+            frame = delivery(1)
+            host.dispatch([SendFanout(tuple(ids), frame), SendMessage(ids[-1], Ack(1))])
+            await ticks()
+            assert pushes == [(Delivery, frame_size(frame), False)] * 16 + [(Ack, None, None)]
+            assert all(conn.batches == [[frame]] for conn in conns[:-1])
+            assert conns[-1].batches == [[Ack(1), frame]]
+            assert host.dispatch_stats.sends == 17
+            assert (host.flush_ticks, host.socket_writes, host.frames_written) == (1, 16, 17)
             await host.stop()
 
         run(main())
@@ -226,6 +261,51 @@ class TestParkedConnection:
             assert type(notice) is Disconnect
             assert notice.reason is DisconnectReason.SLOW_CONSUMER
             assert slow.closed.is_set() and slow_id not in host._conns
+            await host.stop()
+
+        run(main())
+
+    def test_lag_kicked_consumer_that_never_drains_is_aborted_after_the_grace(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(host_module, "KICK_GRACE", 0.05)
+
+        async def main():
+            host, core, (slow,), (slow_id,) = await scripted_host(flow=TINY_FLOW)
+            slow.congested = True
+            host.dispatch([SendMessage(slow_id, delivery(0))])
+            await ticks()
+            for i in range(1, 13):
+                host.dispatch([SendMessage(slow_id, delivery(i))])
+            await ticks()
+            assert host.dispatch_stats.outbox_kicks == 1
+            assert slow_id in host._parked and not slow.closed.is_set()
+            assert list(host._kick_timers) == [slow_id]  # armed once, not per refusal
+
+            # the peer never reads again: no drained(), no flush, no notice
+            await until(lambda: core.closed == [slow_id])
+            assert slow.aborted and len(slow.batches) == 1
+            assert slow_id not in host._conns and slow_id not in host._outboxes
+            assert not host._parked and not host._kick_timers
+            await asyncio.sleep(0.1)
+            assert core.closed == [slow_id]  # exactly once
+            await host.stop()
+
+        run(main())
+
+    def test_a_kicked_connection_that_closes_in_time_cancels_its_abort(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(host_module, "KICK_GRACE", 0.2)
+
+        async def main():
+            host, core, (slow,), (slow_id,) = await scripted_host(flow=TINY_FLOW)
+            for i in range(13):  # not parked: the flush writes the notice, closes
+                host.dispatch([SendMessage(slow_id, delivery(i))])
+            await until(lambda: core.closed == [slow_id])
+            assert not slow.aborted and not host._kick_timers
+            await asyncio.sleep(0.3)
+            assert core.closed == [slow_id]
             await host.stop()
 
         run(main())
@@ -431,6 +511,44 @@ class TestOverTcp:
             slow.close()
             await healthy.close()
             await reader
+            await host.stop()
+
+        run(main())
+
+    def test_a_kicked_peer_that_never_reads_again_is_aborted(self, monkeypatch):
+        """Over a real socket: ``close()`` would wait for the write
+        buffer forever; the grace timer aborts the transport instead and
+        the core hears exactly one ``on_closed``."""
+        monkeypatch.setattr(host_module, "KICK_GRACE", 0.1)
+
+        async def main():
+            core = EchoCore()
+            host = AsyncioHost(core, TcpTransport(), flow=TINY_FLOW)
+            slow = raw_peer(await host.listen(LOOPBACK), rcvbuf=4096)
+            await until(lambda: len(core.connected) == 1)
+            (slow_id,) = core.connected
+            tasks = len(host._tasks)
+            transport = host._conns[slow_id]._transport
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sent = 0
+            while slow_id not in host._parked:
+                assert sent < 1000, "the transport never reported congestion"
+                host.dispatch([SendMessage(slow_id, delivery(sent, size=16384))])
+                sent += 1
+                await ticks()
+            for i in range(12):  # more than the outbox holds: lag-kick
+                host.dispatch([SendMessage(slow_id, delivery(sent + i))])
+            assert host.dispatch_stats.outbox_kicks == 1
+            assert core.closed == []
+
+            await until(lambda: core.closed == [slow_id])  # slow never read
+            assert transport.is_closing() and transport.get_write_buffer_size() == 0
+            assert not host._conns and not host._parked and not host._kick_timers
+            await asyncio.sleep(0.05)
+            assert core.closed == [slow_id]  # exactly once
+            assert len(host._tasks) == tasks  # the unpark waiter is gone too
+            slow.close()
             await host.stop()
 
         run(main())

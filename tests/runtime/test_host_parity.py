@@ -15,6 +15,7 @@ from repro.core.events import (
     CreateGroupStorage,
     Notify,
     ProtocolCore,
+    SendFanout,
     SendMessage,
     SendMulticast,
     ShutDown,
@@ -24,8 +25,11 @@ from repro.core.events import (
 )
 from repro.net.flowcontrol import FlowControlConfig
 from repro.net.memory import MemoryNetwork
+from repro.core.server import ServerConfig
 from repro.runtime.host import AsyncioHost
+from repro.runtime.shard import ShardedHost
 from repro.sim.host import SimHost
+from repro.sim.shard import ShardedSimHost
 from repro.sim.kernel import SimKernel
 from repro.sim.network import SimNetwork
 from repro.sim.profiles import ETHERNET_10MBPS, ULTRASPARC_1
@@ -240,6 +244,111 @@ class TestFlowControlParity:
         # the kick; refusals are visible drops, never silent.
         assert a_stats.sends == 8 and a_stats.send_drops == 4
         assert a_stats.notifications == 12
+
+
+def fanout_script(as_one_effect):
+    """Kick the second connection (``update_burst``: 8 accepted, the 9th
+    overflows, 3 more refused), then fan one delivery out to a live, an
+    unknown and that kicked connection — as the ONE effect a group
+    broadcast emits, or as the per-recipient sends it replaced."""
+
+    def make_script(live, kicked):
+        script = update_burst(kicked)
+        frame, conns = _delivery(100, UpdateKind.UPDATE, "obj"), (live, 99, kicked)
+        if as_one_effect:
+            return script + [SendFanout(conns, frame)]
+        return script + [SendMessage(conn, frame) for conn in conns]
+
+    return make_script
+
+
+def run_fanout_on_asyncio(make_script, sharded):
+    async def main():
+        net = MemoryNetwork()
+        if sharded:
+            host = ShardedHost(ServerConfig(persist=False), net, 2, flow=TINY_FLOW)
+        else:
+            host = AsyncioHost(SinkCore(), net, flow=TINY_FLOW)
+        await host.listen("svc")
+        await net.dial("svc")
+        await net.dial("svc")
+        await asyncio.sleep(0.05)
+        live, kicked = sorted(host._conns)
+        # one synchronous run: every push lands before the tick's flush
+        if sharded:
+            worker = host.workers[0]
+            worker.conns.update((live, kicked))
+            worker.interpreter.execute(make_script(live, kicked))
+        else:
+            host.dispatch(make_script(live, kicked))
+        await asyncio.sleep(0.1)
+        stats = host.dispatch_stats
+        await host.stop()
+        return stats
+
+    return asyncio.run(main())
+
+
+def run_fanout_on_sim(make_script, sharded):
+    kernel = SimKernel()
+    network = SimNetwork(kernel)
+    network.add_segment(
+        "lan", ETHERNET_10MBPS.bytes_per_sec, ETHERNET_10MBPS.latency
+    )
+    if sharded:
+        host = ShardedSimHost(
+            kernel, network, "h", "lan", ULTRASPARC_1,
+            ServerConfig(persist=False), 2, flow=TINY_FLOW,
+        )
+    else:
+        host = SimHost(kernel, network, "h", "lan", ULTRASPARC_1, flow=TINY_FLOW)
+        host.set_core(SinkCore())
+    for name in ("c1", "c2"):
+        peer = SimHost(kernel, network, name, "lan", ULTRASPARC_1)
+        peer.set_core(ProtocolCore())
+        network.connect(name, "h")
+    kernel.run()
+    live, kicked = sorted(host._channels)
+    if sharded:
+        worker = host.workers[0]
+        worker.conns.update((live, kicked))
+        worker.interpreter.execute(make_script(live, kicked))
+    else:
+        host.interpreter.execute(make_script(live, kicked))
+    kernel.run()
+    return host.dispatch_stats
+
+
+class TestFanoutParity:
+    """A ``SendFanout`` is its per-recipient sends, counter for counter:
+    on every host, and through a shard worker's single relay."""
+
+    def test_flat_hosts_count_a_fanout_like_its_unicast_loop(self):
+        runs = [
+            run(fanout_script(as_one_effect), sharded=False)
+            for run in (run_fanout_on_asyncio, run_fanout_on_sim)
+            for as_one_effect in (True, False)
+        ]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+        stats = runs[0]
+        # burst: 8 + 4; fan-out: the live one accepts, unknown and
+        # kicked drop — sends + send_drops == recipients
+        assert (stats.sends, stats.send_drops) == (8 + 1, 4 + 2)
+        assert stats.outbox_kicks == 1
+
+    def test_sharded_hosts_count_a_fanout_like_its_unicast_loop(self):
+        runs = [
+            run(fanout_script(as_one_effect), sharded=True)
+            for run in (run_fanout_on_asyncio, run_fanout_on_sim)
+            for as_one_effect in (True, False)
+        ]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+        stats = runs[0]
+        # the worker knows both real connections (12 + 2 sends, the
+        # unknown one dropped); the front then counts like a flat host
+        # that was never asked about the unknown one
+        assert (stats.sends, stats.send_drops) == (14 + 9, 1 + 5)
+        assert stats.outbox_kicks == 1
 
 
 class TestTimerParity:

@@ -12,6 +12,7 @@ import asyncio
 import shutil
 import threading
 
+from repro.core.interpreter import metrics_middleware
 from repro.core.server import ServerConfig
 from repro.core.transfer import TransferConfig
 from repro.net.memory import MemoryNetwork
@@ -21,6 +22,7 @@ from repro.runtime.shard import ShardedHost
 from repro.storage.store import GroupStore
 from repro.wire import codec
 from repro.wire.messages import (
+    Ack,
     BcastUpdateRequest,
     CreateGroupRequest,
     GetMembershipRequest,
@@ -103,6 +105,40 @@ class TestOneDrainPerTick:
             assert [type(m) for m in replies] == [MembershipReply] * n
             assert [m.request_id for m in replies] == list(range(10, 10 + n))
             assert len(conn.batches) == 1 < n, "n replies, one socket write"
+            await host.stop()
+
+        run(main())
+
+    def test_a_broadcast_is_one_relay_and_one_front_effect_however_many_members(self):
+        async def main():
+            front_effects = {}
+            host = ShardedHost(
+                ServerConfig(persist=False), MemoryNetwork(), shards=SHARDS,
+                middlewares=[metrics_middleware(front_effects)],
+            )
+            await host.listen("srv")
+            members = [await scripted_client(host, f"c{i}") for i in range(5)]
+            (_conn0, cid0) = members[0]
+            host._on_messages(cid0, [CreateGroupRequest(1, "g")])
+            for _conn, cid in members:
+                host._on_messages(cid, [JoinGroupRequest(2, "g")])
+            await ticks()
+            for conn, _cid in members:
+                conn.batches.clear()
+            front_effects.clear()
+            relays = []
+            call_front = host.call_front
+            host.call_front = lambda fn, token=0: (relays.append(1), call_front(fn, token))
+
+            host._on_messages(cid0, [BcastUpdateRequest(3, "g", "o", b"x")])
+            await ticks()
+            assert len(relays) == 2  # the fan-out, then the sender's Ack
+            assert front_effects == {"SendFanout": 1, "SendMessage": 1}
+            for conn, _cid in members[1:]:
+                ((frame,),) = conn.batches
+                assert frame.update.data == b"x"
+            ((ack, own),) = members[0][0].batches  # control lane first
+            assert ack == Ack(3) and own is frame
             await host.stop()
 
         run(main())

@@ -15,6 +15,8 @@ wire message cannot ship without its documentation:
 ``transfer``  docs/protocol.md §3.5 — every ``TransferConfig`` knob,
               ``TransferPolicy`` value, ``SNAP_*`` flag and the three
               transfer wire messages.
+``effects``   docs/architecture.md §1-2 — every ``Effect`` subclass
+              ``repro.core.events`` exports.
 
 Run from the repo root with ``PYTHONPATH=src python tools/check_docs.py``
 (CI does; see .github/workflows/ci.yml); pass gate names to run a subset.
@@ -69,11 +71,23 @@ def _transfer_names() -> list[str]:
     return names
 
 
+def _effect_names() -> list[str]:
+    from repro.core import events
+
+    exported = (getattr(events, name) for name in events.__all__)
+    return [
+        cls.__name__ for cls in exported
+        if isinstance(cls, type) and issubclass(cls, events.Effect)
+        and cls is not events.Effect
+    ]
+
+
 #: gate -> (document, required names, what exports them)
 GATES: dict[str, tuple[Path, Callable[[], list[str]], str]] = {
     "flow": (DOCS / "flow-control.md", _flow_names, "flow-control layer"),
     "topology": (DOCS / "architecture.md", _topology_names, "elastic-topology layer"),
     "transfer": (DOCS / "protocol.md", _transfer_names, "state-transfer layer"),
+    "effects": (DOCS / "architecture.md", _effect_names, "effect catalogue"),
 }
 
 
