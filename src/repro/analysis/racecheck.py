@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable
 
 from repro.analysis.findings import Finding, Severity
+from repro.wire import frames
 
 __all__ = [
     "RACE_RULE_DOCS",
@@ -114,7 +115,7 @@ class RaceRecorder:
         the happens-before replay sees the lane's fill ordered (via the
         commit join edge) before the front's cached-frame reads."""
         obj = self._frame_key(message)
-        if hasattr(message, "_corona_wire_frame"):
+        if frames.cached_frame(message) is not None:
             self.read(lane, obj, loc)
         else:
             self.write(lane, obj, loc)
@@ -148,7 +149,7 @@ class RaceRecorder:
             elif wire and kind in ("SendMessage", "SendFanout", "SendMulticast"):
                 message = effect.message
                 obj = self._frame_key(message)
-                if hasattr(message, "_corona_wire_frame"):
+                if frames.cached_frame(message) is not None:
                     self.read(lane, obj, loc=kind)
                 else:
                     self.write(lane, obj, loc=kind)

@@ -87,7 +87,7 @@ from dataclasses import dataclass as _dc
 
 
 @register(200)
-@_dc(frozen=True)
+@_dc(frozen=True, slots=True)
 class IsisJoinRequest(Message):
     """Client asks to join; the server must find a state donor."""
 
@@ -96,7 +96,7 @@ class IsisJoinRequest(Message):
 
 
 @register(201)
-@_dc(frozen=True)
+@_dc(frozen=True, slots=True)
 class DonateRequest(Message):
     """Server asks an existing member to donate its group state."""
 
@@ -106,7 +106,7 @@ class DonateRequest(Message):
 
 
 @register(202)
-@_dc(frozen=True)
+@_dc(frozen=True, slots=True)
 class DonateReply(Message):
     """Member's state donation, relayed to the joiner."""
 
@@ -117,7 +117,7 @@ class DonateReply(Message):
 
 
 @register(203)
-@_dc(frozen=True)
+@_dc(frozen=True, slots=True)
 class IsisJoinReply(Message):
     """Join completed; carries the donated state."""
 

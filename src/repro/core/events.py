@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.ids import ConnId, GroupId
+from repro.wire.codec import compile_init
 
 if TYPE_CHECKING:
     from repro.wire.messages import Message
@@ -71,10 +72,15 @@ NOTIFY_TRANSFER_PROGRESS = "transfer_progress"
 
 @dataclass(frozen=True)
 class Effect:
-    """Base class for everything a core asks its host to do."""
+    """Base class for everything a core asks its host to do: a slotted
+    frozen dataclass built by :func:`repro.wire.codec.compile_init`, which
+    skips the frozen ``__init__``'s ``object.__setattr__`` per field."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class SendMessage(Effect):
     """Write *message* to the connection identified by *conn*."""
 
@@ -82,7 +88,8 @@ class SendMessage(Effect):
     message: "Message"
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class SendFanout(Effect):
     """Write one *message* to each of *conns*, in order: a group fan-out.
 
@@ -97,7 +104,8 @@ class SendFanout(Effect):
     message: "Message"
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class SendMulticast(Effect):
     """Deliver one message to many connections at once.
 
@@ -112,7 +120,8 @@ class SendMulticast(Effect):
     message: "Message"
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class StartTimer(Effect):
     """Arm (or re-arm) the timer named *key* to fire after *delay* seconds."""
 
@@ -120,14 +129,16 @@ class StartTimer(Effect):
     delay: float
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class CancelTimer(Effect):
     """Disarm the timer named *key* (a no-op if it is not armed)."""
 
     key: str
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class OpenConnection(Effect):
     """Dial *address*; the host replies with ``on_connected(conn, key=key)``.
 
@@ -139,14 +150,16 @@ class OpenConnection(Effect):
     key: str
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class CloseConnection(Effect):
     """Close the connection identified by *conn*."""
 
     conn: ConnId
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class CreateGroupStorage(Effect):
     """Create on-disk structures for *group* with encoded metadata."""
 
@@ -154,14 +167,16 @@ class CreateGroupStorage(Effect):
     meta: bytes
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class PurgeGroupStorage(Effect):
     """Remove *group* and all its state from stable storage."""
 
     group: GroupId
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class AppendWal(Effect):
     """Append *record* (encoded bytes) to the write-ahead log of *group*.
 
@@ -176,7 +191,8 @@ class AppendWal(Effect):
     record: bytes
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class WriteCheckpoint(Effect):
     """Persist a checkpoint (reduced state) for *group*."""
 
@@ -185,7 +201,8 @@ class WriteCheckpoint(Effect):
     snapshot: bytes
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class TruncateWal(Effect):
     """Discard WAL records of *group* at or below *seqno* (post-checkpoint)."""
 
@@ -193,7 +210,8 @@ class TruncateWal(Effect):
     seqno: int
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class Notify(Effect):
     """Deliver an application-level event (client cores only).
 
@@ -205,7 +223,8 @@ class Notify(Effect):
     payload: Any
 
 
-@dataclass(frozen=True)
+@compile_init
+@dataclass(frozen=True, slots=True)
 class ShutDown(Effect):
     """The core has stopped; the host should release its resources."""
 

@@ -151,13 +151,11 @@ class GroupRuntime:
         self, kind: UpdateKind, object_id: str, data: bytes, sender: ClientId
     ) -> UpdateRecord:
         """Allocate the next global sequence number for one update."""
+        # positional: one of these per broadcast, and a keyword call
+        # costs more than the fields' stores
         return UpdateRecord(
-            seqno=self.group.sequencer.allocate(),
-            kind=kind,
-            object_id=object_id,
-            data=data,
-            sender=sender,
-            timestamp=self.owner.clock.now(),
+            self.group.sequencer.allocate(), kind, object_id, data, sender,
+            self.owner.clock.now(),
         )
 
     def broadcast(

@@ -23,8 +23,8 @@ Policies:
 
 ``FULL`` snapshots are memoized per group: repeated joins against an
 unchanged group reuse both the materialized :class:`StateSnapshot` *and*
-its encoded frame (pre-warmed through :func:`repro.wire.frames.
-encoded_frame`), so the join fast path is O(1) instead of
+its encoded payload (pre-warmed through :func:`repro.wire.frames.
+payload_of`), so the join fast path is O(1) instead of
 re-materializing and re-serializing the whole shared state per joiner.
 The cache keys on the identity and mutation counters of the group's
 ``state`` and ``log``, so any append, overwrite, reduction, rollback or
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from repro.core.errors import FrameTooLargeError, StaleStateError
+from repro.core.errors import StaleStateError
 from repro.core.group import Group
 from repro.core.ids import ClientId, GroupId, SeqNo
 from repro.wire import frames
@@ -247,15 +247,12 @@ def _full(group: Group, tip: int, next_seqno: int) -> StateSnapshot:
         updates=(),
         next_seqno=next_seqno,
     )
-    try:
-        # Pre-warm the encoded frame so every consumer of the cached
-        # snapshot (JoinReply encode, frame cache, sim cost model) reuses
-        # one serialization.
-        frames.encoded_frame(snapshot)
-    except FrameTooLargeError:
-        # Oversized snapshots fail at send time exactly as before; the
-        # materialized snapshot is still worth caching.
-        pass
+    # Pre-warm the encoded payload: a snapshot travels inside a JoinReply
+    # (whose encoder splices the memoized payload) or as chunks of it,
+    # never as a frame of its own, so every consumer of the cached
+    # snapshot reuses one serialization.  Oversized snapshots fail when
+    # the JoinReply is framed, at send time.
+    frames.payload_of(snapshot)
     setattr(group, _CACHE_ATTR, (key, snapshot))
     return snapshot
 

@@ -18,7 +18,9 @@ cannot grow server memory without bound:
   superseded by a newer ``STATE`` for the same ``(group, object_id)`` is
   droppable.  The dropped frame's seqno is annotated onto the next queued
   delivery of the same group (``Delivery.skipped``) so the receiver's
-  contiguity checking can account for the gap deterministically.
+  contiguity checking can account for the gap deterministically.  A
+  count of queued STATE deliveries per key answers "is there one to
+  drop?" without scanning the lane.
 * **Lag-kick.**  When coalescing cannot get the queue back under its
   bounds, the connection is *kicked*: the bulk lane is discarded, a typed
   :class:`~repro.wire.messages.Disconnect` notice is queued on the control
@@ -151,7 +153,7 @@ class BoundedOutbox:
     """
 
     __slots__ = (
-        "_config", "_stats", "_control", "_bulk", "_bytes",
+        "_config", "_stats", "_control", "_bulk", "_states", "_bytes",
         "kicked", "kick_reason", "close_requested",
         "peak_depth", "peak_bytes",
     )
@@ -163,6 +165,9 @@ class BoundedOutbox:
         #: ``Delivery`` and ``StateChunk`` frames; only ``Delivery`` is
         #: ever coalesced or annotated.
         self._bulk: deque[Any] = deque()
+        #: The coalescing index: ``(group, object_id)`` -> STATE deliveries
+        #: queued in ``_bulk`` (no zero entries); a miss costs no scan.
+        self._states: dict[tuple[str, str], int] = {}
         self._bytes = 0
         #: Set once the overflow policy gave up on this consumer; the
         #: owner must close the connection after the control lane drains.
@@ -224,10 +229,12 @@ class BoundedOutbox:
             control.append(message)
         else:
             cfg = self._config
-            if is_state and len(bulk) >= cfg.coalesce_watermark:
-                merged = self._coalesce_incoming(message)
-                if merged is not message:
-                    message, size = merged, frames.frame_size(merged)
+            if is_state:
+                key = (message.group, message.update.object_id)
+                if len(bulk) >= cfg.coalesce_watermark and key in self._states:
+                    merged = self._coalesce_incoming(message)
+                    if merged is not message:
+                        message, size = merged, frames.frame_size(merged)
             if (len(control) + len(bulk) >= cfg.max_outbox_frames
                     or self._bytes + size > cfg.max_outbox_bytes):
                 self._sweep()
@@ -236,6 +243,9 @@ class BoundedOutbox:
                     self._kick(DisconnectReason.SLOW_CONSUMER)
                     return False
             bulk.append(message)
+            if is_state:
+                states = self._states
+                states[key] = states.get(key, 0) + 1
         # _account(size), inline: this is the per-recipient hot path
         queued = self._bytes = self._bytes + size
         depth = len(control) + len(bulk)
@@ -253,6 +263,8 @@ class BoundedOutbox:
             message = self._control.popleft()
         elif self._bulk:
             message = self._bulk.popleft()
+            if bulk_class(message):
+                self._unindex(message)
         else:
             return None
         self._bytes -= frames.frame_size(message)
@@ -264,6 +276,7 @@ class BoundedOutbox:
         batch.extend(self._bulk)
         self._control.clear()
         self._bulk.clear()
+        self._states.clear()
         self._bytes = 0
         return batch
 
@@ -277,8 +290,18 @@ class BoundedOutbox:
         if self._bytes > self.peak_bytes:
             self.peak_bytes = self._bytes
 
+    def _unindex(self, delivery: Delivery) -> None:
+        """A queued STATE *delivery* left the bulk lane."""
+        key = (delivery.group, delivery.update.object_id)
+        left = self._states[key] - 1
+        if left:
+            self._states[key] = left
+        else:
+            del self._states[key]
+
     def _coalesce_incoming(self, message: Delivery) -> Delivery:
-        """Drop the queued STATE delivery that *message* supersedes."""
+        """Drop the queued STATE delivery that *message* supersedes (the
+        index says there is one)."""
         key = (message.group, message.update.object_id)
         for index, queued in enumerate(self._bulk):
             if (bulk_class(queued)
@@ -299,6 +322,7 @@ class BoundedOutbox:
         victim = bulk[index]
         skips = victim.skipped + (victim.update.seqno,)
         del bulk[index]
+        self._unindex(victim)
         self._bytes -= frames.frame_size(victim)
         self._stats.outbox_coalesced += 1
         for later in range(index, len(bulk)):
@@ -342,6 +366,7 @@ class BoundedOutbox:
         for queued in self._bulk:
             self._bytes -= frames.frame_size(queued)
         self._bulk.clear()
+        self._states.clear()
         self.kicked = True
         self.kick_reason = reason
         self._stats.outbox_kicks += 1

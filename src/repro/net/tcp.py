@@ -54,22 +54,22 @@ class _TcpFrames:
         return f"{peername[0]}:{peername[1]}" if peername else "<closed>"
 
     def write_many(self, messages: Iterable[Message]) -> bool:
-        """Gather-write one :class:`memoryview` per cached frame with
-        ``writelines`` — zero copies between the frame cache and the
-        socket buffer.  Safe because cached frames are immutable
-        (no-mutation-after-cache, ``docs/protocol.md`` §6); the batch
-        goes out in order, so per-connection FIFO order is preserved.
-        True when that left the transport above its high-water mark —
-        exactly when it calls the protocol's ``pause_writing``."""
+        """Gather-write the cached frame bytes with ``writelines`` — the
+        frame cache's own ``bytes`` objects, no per-write copy or view.
+        Safe because cached frames are immutable (no-mutation-after-cache,
+        ``docs/protocol.md`` §6); the batch goes out in order, so
+        per-connection FIFO order is preserved.  True when that left the
+        transport above its high-water mark — exactly when it calls the
+        protocol's ``pause_writing``."""
         if self._closed:
             raise NotConnectedError("connection is closed")
-        views = [encoded_frame(m).view for m in messages]
-        if len(views) == 1:
+        batch = [encoded_frame(m).frame for m in messages]
+        if len(batch) == 1:
             # before 3.12 writelines() joins its argument into a copy: a
             # lone frame (a paced delivery, a 256 KiB snapshot) skips it
-            self._transport.write(views[0])
+            self._transport.write(batch[0])
         else:
-            self._transport.writelines(views)
+            self._transport.writelines(batch)
         return self._transport.get_write_buffer_size() > self._high_water
 
     def abort(self) -> None:

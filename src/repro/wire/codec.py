@@ -9,9 +9,10 @@ from a handful of primitives:
 * length-prefixed UTF-8 for strings and raw bytes,
 * a one-byte presence flag for optional fields.
 
-Every encodable class is a dataclass registered with a stable 16-bit type
-code via :func:`register`.  Values are always encoded *with* their type
-code, which makes polymorphic fields (declared as a base class) work
+Every encodable class is a slotted frozen dataclass registered with a
+stable 16-bit type code via :func:`register`, which also gives it the
+:func:`compile_init` constructor.  Values are always encoded *with* their
+type code, which makes polymorphic fields (declared as a base class) work
 transparently and lets a reader reject unknown types cleanly.
 
 This codec stands in for the paper's JDK object serialization; its per-byte
@@ -31,8 +32,10 @@ Two implementations share the format:
   byte-for-byte identical to it for every registered message type.
 
 :func:`cached_encode` additionally memoizes the encoded payload on the
-message instance itself (messages are frozen dataclasses, so the bytes can
-never go stale).  The fan-out paths — framing, transports, the simulator's
+message instance itself, in the memo slot every ``Message`` carries
+(messages are frozen, so the bytes can never go stale; a payload is cut
+from an already-built frame rather than encoded again).  The fan-out
+paths — framing, transports, the simulator's
 cost model — go through it (via :mod:`repro.wire.frames`), which is what
 makes a broadcast cost one serialization no matter how many receivers it
 has.  :data:`encode counters <encode_counts>` record every real (cache
@@ -50,9 +53,11 @@ from dataclasses import MISSING, fields, is_dataclass
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from repro.core.errors import CodecError
+from repro.wire import frames
 
 __all__ = [
     "register",
+    "compile_init",
     "encode",
     "encode_into",
     "decode",
@@ -202,7 +207,7 @@ _COMPILED_DEC: dict[type, Callable[[memoryview, int, int], tuple[Any, int]]] = {
 #: :func:`encode_counts`.
 _ENCODE_COUNTS: dict[type, int] = {}
 
-#: Instance attribute holding the memoized payload (see cached_encode).
+#: Instance slot holding the memoized payload (see cached_encode).
 _PAYLOAD_ATTR = "_corona_wire_payload"
 
 
@@ -210,9 +215,11 @@ def register(type_code: int) -> Callable[[type], type]:
     """Class decorator assigning *type_code* to a dataclass.
 
     Type codes must be unique and stable; they are part of the wire format.
-    Registration also compiles the class's flat encoder/decoder pair when
-    its type hints are already resolvable; classes with forward references
-    compile lazily on first use instead.
+    The class must hold the encode memo (a slotted ``Message`` subclass)
+    and gets the :func:`compile_init` constructor.  Registration also
+    compiles the class's flat encoder/decoder pair when its type hints are
+    already resolvable; classes with forward references compile lazily on
+    first use instead.
     """
 
     def _apply(cls: type) -> type:
@@ -223,6 +230,14 @@ def register(type_code: int) -> Callable[[type], type]:
                 f"type code {type_code} already used by "
                 f"{_CODE_TO_CLASS[type_code].__name__}"
             )
+        for memo in (_PAYLOAD_ATTR, frames._FRAME_ATTR):
+            if type(getattr(cls, memo, None)) is not types.MemberDescriptorType:
+                raise CodecError(
+                    f"{cls.__name__} cannot hold the encode memo (no "
+                    f"{memo} slot): derive it from Message as a "
+                    "@dataclass(frozen=True, slots=True)"
+                )
+        compile_init(cls)
         _CODE_TO_CLASS[type_code] = cls
         _CLASS_TO_CODE[cls] = type_code
         try:
@@ -236,6 +251,72 @@ def register(type_code: int) -> Callable[[type], type]:
         return cls
 
     return _apply
+
+
+class _Factory:
+    """Default of a ``default_factory`` parameter, shown as dataclasses do."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def compile_init(cls: type) -> type:
+    """Replace the dataclass ``__init__`` of the slotted frozen *cls* (and
+    return *cls*, so this is also a class decorator).
+
+    Each field is stored by calling its slot descriptor (``member.__set__``)
+    where a frozen dataclass calls ``object.__setattr__``, and every other
+    slot — a ``Message``'s encode memo — is set to ``None``, never left
+    unset.  Signature, defaults, ``default_factory`` and ``__post_init__``
+    stay the dataclass ones; eq, hash, repr and freezing are untouched.
+    """
+    all_fields = fields(cls)
+    names = {f.name for f in all_fields}
+
+    def slot(name: str) -> Any:
+        member = getattr(cls, name, None)
+        if type(member) is not types.MemberDescriptorType:
+            raise CodecError(
+                f"{cls.__name__}.{name} is not a slot: declare "
+                f"{cls.__name__} @dataclass(frozen=True, slots=True)"
+            )
+        return member.__set__
+
+    ns: dict[str, Any] = {"_FACTORY": _FACTORY}
+    params = ["self"]
+    body: list[str] = []
+    for i, f in enumerate(all_fields):
+        ns[f"_s{i}"] = slot(f.name)
+        value = f.name
+        if f.default is not MISSING:
+            ns[f"_d{i}"] = f.default
+            params.append(f"{f.name}=_d{i}")
+        elif f.default_factory is not MISSING:
+            ns[f"_f{i}"] = f.default_factory
+            params.append(f"{f.name}=_FACTORY")
+            value = f"_f{i}() if {f.name} is _FACTORY else {f.name}"
+        else:
+            params.append(f.name)
+        body.append(f"_s{i}(self, {value})")
+    for klass in cls.__mro__:
+        for name in klass.__dict__.get("__slots__", ()):
+            if name not in names:
+                ns[f"_c{len(ns)}"] = slot(name)
+                body.append(f"_c{len(ns) - 1}(self, None)")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    src = f"def __init__({', '.join(params)}):\n" + "".join(
+        f"    {line}\n" for line in body or ["pass"]
+    )
+    exec(compile(src, f"<corona-init:{cls.__name__}>", "exec"), ns)
+    init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in all_fields} | {"return": None}
+    cls.__init__ = init  # type: ignore[misc]
+    return cls
 
 
 def type_code_of(cls: type) -> int:
@@ -710,12 +791,13 @@ def _emit_decode(
         if issubclass(tp, enum.IntEnum):
             raw = names.new("raw")
             _emit_decode_uvarint(raw, lines, names, ind)
-            enum_name = names.new("E")
-            ns[enum_name] = tp
+            # a value -> member table: a dict lookup, not an Enum() call
+            table = names.new("E")
+            ns[table] = {member.value: member for member in tp}
             lines.append(f"{ind}{raw} = ({raw} >> 1) ^ -({raw} & 1)")
             lines.append(f"{ind}try:")
-            lines.append(f"{ind}    {target} = {enum_name}({raw})")
-            lines.append(f"{ind}except ValueError:")
+            lines.append(f"{ind}    {target} = {table}[{raw}]")
+            lines.append(f"{ind}except KeyError:")
             lines.append(
                 f"{ind}    raise _CodecError("
                 f"f'{{{raw}}} is not a valid {tp.__name__}') from None"
@@ -799,16 +881,34 @@ def _emit_decode_nested(
     ns[cls_name] = tp
     lines.append(f"{ind}if {code} == {_CLASS_TO_CODE[tp]}:")
     body = ind + "    "
-    kwargs: list[str] = []
-    for f in fields(tp):
-        if f.metadata.get("wire_skip"):
-            continue
-        var = names.new("f")
-        _emit_decode(hints[f.name], var, lines, ns, names, body, stack | {tp})
-        kwargs.append(f"{f.name}={var}")
-    lines.append(f"{body}{target} = {cls_name}({', '.join(kwargs)})")
+    args = _emit_decode_fields(tp, hints, lines, ns, names, body, stack | {tp})
+    lines.append(f"{body}{target} = {cls_name}({args})")
     lines.append(f"{ind}else:")
     lines.append(f"{ind}    {target}, pos = _decode_known(view, pos, end, {code})")
+
+
+def _emit_decode_fields(
+    tp: type,
+    hints: dict[str, Any],
+    lines: list[str],
+    ns: dict,
+    names: _Names,
+    ind: str,
+    stack: frozenset,
+) -> str:
+    """Generate the decoding of every wire field of *tp* into locals and
+    return the constructor's argument list: positional — a cheaper call
+    than keywords — up to the first ``wire_skip`` field."""
+    args: list[str] = []
+    keyword = False
+    for f in fields(tp):
+        if f.metadata.get("wire_skip"):
+            keyword = True
+            continue
+        var = names.new("f")
+        _emit_decode(hints[f.name], var, lines, ns, names, ind, stack)
+        args.append(f"{f.name}={var}" if keyword else var)
+    return ", ".join(args)
 
 
 def _compile_encoder(cls: type) -> Callable[[bytearray, Any], None]:
@@ -851,16 +951,10 @@ def _compile_decoder(cls: type) -> Callable[[memoryview, int, int], tuple[Any, i
     }
     names = _Names()
     lines = ["def _dec(view, pos, end):"]
-    kwargs: list[str] = []
-    for f in fields(cls):
-        if f.metadata.get("wire_skip"):
-            continue
-        var = names.new("f")
-        _emit_decode(hints[f.name], var, lines, ns, names, "    ")
-        kwargs.append(f"{f.name}={var}")
+    args = _emit_decode_fields(cls, hints, lines, ns, names, "    ", frozenset())
     if len(lines) == 1:
         lines.append("    pass")
-    lines.append(f"    return _cls({', '.join(kwargs)}), pos")
+    lines.append(f"    return _cls({args}), pos")
     src = "\n".join(lines) + "\n"
     exec(compile(src, f"<corona-codec-dec:{cls.__name__}>", "exec"), ns)
     fn = ns["_dec"]
@@ -930,8 +1024,10 @@ _SHARED_BUF = bytearray()
 _shared_busy = False
 
 
-def encode(obj: Any) -> bytes:
-    """Encode a registered dataclass instance to bytes (compiled path)."""
+def encode(obj: Any, header: struct.Struct | None = None) -> bytes:
+    """Encode a registered dataclass instance to bytes (compiled path);
+    with *header*, prefixed by the payload length it packs — a frame built
+    in one pass and one copy (:mod:`repro.wire.frames`)."""
     global _shared_busy
     if _shared_busy:
         buf = bytearray()
@@ -940,7 +1036,12 @@ def encode(obj: Any) -> bytes:
         buf = _SHARED_BUF
         del buf[:]
     try:
-        encode_into(obj, buf)
+        if header is None:
+            encode_into(obj, buf)
+        else:
+            buf += bytes(header.size)
+            encode_into(obj, buf)
+            header.pack_into(buf, 0, len(buf) - header.size)
         return bytes(buf)
     finally:
         if buf is _SHARED_BUF:
@@ -984,16 +1085,15 @@ def cached_encode(obj: Any) -> bytes:
     """Encode *obj* once, memoizing the payload on the instance.
 
     Safe because every wire message is a frozen dataclass (enforced by the
-    catalogue tests): the bytes cannot go stale.  Objects that reject
-    attribute injection (``__slots__`` without a dict) simply re-encode.
+    catalogue tests): the bytes cannot go stale.  A message whose frame is
+    already built gets the payload cut from it, never a second encode;
+    :func:`register` guarantees the memo slot exists.
     """
     payload = getattr(obj, _PAYLOAD_ATTR, None)
     if payload is None:
-        payload = encode(obj)
-        try:
-            object.__setattr__(obj, _PAYLOAD_ATTR, payload)
-        except (AttributeError, TypeError):
-            pass
+        frame = frames.cached_frame(obj)
+        payload = encode(obj) if frame is None else frame.payload
+        object.__setattr__(obj, _PAYLOAD_ATTR, payload)
     return payload
 
 

@@ -2,27 +2,29 @@
 
 Corona's fan-out paths (sequenced ``Delivery`` broadcasts, replication
 ``_broadcast_to_peers``) hand the *same frozen message instance* to many
-connections.  :func:`encoded_frame` memoizes the encoded payload and its
-length-prefixed frame on the instance itself, so the first sender pays the
-serialization cost and every other receiver reuses the bytes — the paper's
-"one serialization, many receivers" multicast property, independent of the
-transport actually supporting IP multicast.
+connections.  :func:`encoded_frame` memoizes the length-prefixed frame on
+the instance itself, so the first sender pays the serialization cost and
+every other receiver reuses the bytes — the paper's "one serialization,
+many receivers" multicast property, independent of the transport actually
+supporting IP multicast.
 
 Contract (documented in ``docs/protocol.md``):
 
 * messages are frozen dataclasses, so a cached frame can never go stale —
   there is no invalidation, only garbage collection with the instance;
+* the memo is a slot every ``Message`` declares, ``None`` until set;
 * the cache is per-instance, not per-value: two equal messages built
   separately encode separately (the hot path always reuses one instance);
+* a frame is encoded in one pass behind a reserved length prefix; the
+  bare payload is cut from it only for callers that want one;
 * :exc:`~repro.core.errors.FrameTooLargeError` is raised at frame-build
   time, before any receiver sees a byte, and is *not* cached — a retry
-  re-raises by re-checking the (cached) payload length.
+  re-raises by re-checking the length.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core.errors import FrameTooLargeError
@@ -33,6 +35,7 @@ __all__ = [
     "FRAME_OVERHEAD",
     "EncodedFrame",
     "encoded_frame",
+    "cached_frame",
     "payload_of",
     "frame_size",
 ]
@@ -46,60 +49,66 @@ MAX_FRAME_SIZE = 16 * 1024 * 1024
 #: Bytes the length prefix adds on top of the payload.
 FRAME_OVERHEAD = _LEN.size
 
-#: Instance attribute holding the memoized EncodedFrame.
+#: Instance slot holding the memoized EncodedFrame.
 _FRAME_ATTR = "_corona_wire_frame"
 
 
-@dataclass(frozen=True)
 class EncodedFrame:
-    """One message's encoded payload and its length-prefixed wire frame."""
+    """One message's length-prefixed wire frame.  The payload — the frame
+    without its prefix — is sliced off on first use and kept."""
 
-    payload: bytes
-    frame: bytes
+    __slots__ = ("frame", "_payload")
+
+    def __init__(self, frame: bytes, payload: bytes | None = None) -> None:
+        self.frame = frame
+        self._payload = payload
+
+    @property
+    def payload(self) -> bytes:
+        payload = self._payload
+        if payload is None:
+            payload = self._payload = self.frame[FRAME_OVERHEAD:]
+        return payload
 
     @property
     def payload_size(self) -> int:
-        return len(self.payload)
+        return len(self.frame) - FRAME_OVERHEAD
 
     @property
     def frame_size(self) -> int:
         return len(self.frame)
 
-    @property
-    def view(self) -> memoryview:
-        """Zero-copy view of the wire frame for gather-writes.
 
-        Safe to hand to ``StreamWriter.writelines`` because the backing
-        ``bytes`` is immutable (the no-mutation-after-cache invariant,
-        ``docs/protocol.md`` §6) and outlives the view via the per-instance
-        memo: the view keeps the ``EncodedFrame`` — and thus the buffer —
-        alive until the transport has flushed it.
-        """
-        return memoryview(self.frame)
+def cached_frame(message: Any) -> EncodedFrame | None:
+    """The frame memoized on *message*, or ``None`` before its first
+    :func:`encoded_frame` (the one way to ask whether it was encoded)."""
+    return getattr(message, _FRAME_ATTR, None)
 
 
 def encoded_frame(message: Any) -> EncodedFrame:
     """Return the (memoized) :class:`EncodedFrame` for *message*.
 
-    Encodes at most once per message instance; raises
+    Encodes at most once per message instance — a payload already memoized
+    by :func:`payload_of` is framed, not encoded again; raises
     :exc:`FrameTooLargeError` when the payload exceeds
-    :data:`MAX_FRAME_SIZE` (the check reuses the cached payload, so an
-    oversized message never pays a second encode either).
+    :data:`MAX_FRAME_SIZE`.
     """
     cached = getattr(message, _FRAME_ATTR, None)
     if cached is not None:
         return cached
-    payload = codec.cached_encode(message)
-    if len(payload) > MAX_FRAME_SIZE:
+    payload = getattr(message, codec._PAYLOAD_ATTR, None)
+    if payload is None:
+        frame = codec.encode(message, _LEN)
+    else:
+        frame = _LEN.pack(len(payload)) + payload
+    size = len(frame) - FRAME_OVERHEAD
+    if size > MAX_FRAME_SIZE:
         raise FrameTooLargeError(
-            f"outgoing frame of {len(payload)} bytes exceeds {MAX_FRAME_SIZE}"
+            f"outgoing frame of {size} bytes exceeds {MAX_FRAME_SIZE}"
         )
-    frame = EncodedFrame(payload=payload, frame=_LEN.pack(len(payload)) + payload)
-    try:
-        object.__setattr__(message, _FRAME_ATTR, frame)
-    except (AttributeError, TypeError):
-        pass  # non-dataclass or slotted instance: just skip the memo
-    return frame
+    cached = EncodedFrame(frame, payload)
+    object.__setattr__(message, _FRAME_ATTR, cached)
+    return cached
 
 
 def payload_of(message: Any) -> bytes:
@@ -119,4 +128,4 @@ def frame_size(message: Any) -> int:
     through the frame cache means sizing a message that is subsequently
     sent costs no extra serialization pass.
     """
-    return encoded_frame(message).frame_size
+    return len(encoded_frame(message).frame)

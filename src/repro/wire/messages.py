@@ -1,8 +1,8 @@
 """Protocol message catalogue.
 
 Every frame exchanged between a Corona client, server, or coordinator is one
-of the dataclasses below, registered with a stable type code in the binary
-codec (:mod:`repro.wire.codec`).  The catalogue is grouped as:
+of the slotted frozen dataclasses below, registered with a stable type code
+in the binary codec (:mod:`repro.wire.codec`).  The catalogue is grouped as:
 
 * **shared structs** (codes 1-19) — value types embedded in messages,
 * **client → server** (codes 20-49) — requests from collaborating clients,
@@ -109,7 +109,10 @@ PROTOCOL_VERSION = 1
 
 @dataclass(frozen=True)
 class Message:
-    """Base class for all wire messages (and embedded structs)."""
+    """Base class for all wire messages (and embedded structs); declares
+    the encode memo slots ``register`` requires of every message."""
+
+    __slots__ = ("_corona_wire_payload", "_corona_wire_frame")
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +181,7 @@ class ReconcilePolicy(enum.IntEnum):
 
 
 @register(1)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectState(Message):
     """Byte-stream encoding of one shared object: the pair ``(O_i, S_i)``."""
 
@@ -187,7 +190,7 @@ class ObjectState(Message):
 
 
 @register(2)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateRecord(Message):
     """One entry of a group's totally ordered state log."""
 
@@ -200,7 +203,7 @@ class UpdateRecord(Message):
 
 
 @register(3)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberInfo(Message):
     """Membership entry exposed by the group membership service."""
 
@@ -209,7 +212,7 @@ class MemberInfo(Message):
 
 
 @register(4)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupInfo(Message):
     """Summary of a group returned by ``listGroups``."""
 
@@ -220,7 +223,7 @@ class GroupInfo(Message):
 
 
 @register(5)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferSpec(Message):
     """How a joining client wants the shared state delivered.
 
@@ -242,7 +245,7 @@ class TransferSpec(Message):
 
 
 @register(6)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerInfo(Message):
     """Address-book entry for one server of the replicated service."""
 
@@ -252,7 +255,7 @@ class ServerInfo(Message):
 
 
 @register(8)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupMeta(Message):
     """Durable group metadata, stored as the GroupStore ``meta.bin``.
 
@@ -283,7 +286,7 @@ SNAP_FORCED_FULL = 4
 
 
 @register(7)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateSnapshot(Message):
     """A transferable view of a group's shared state.
 
@@ -308,7 +311,7 @@ class StateSnapshot(Message):
 
 
 @register(20)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hello(Message):
     """First message on a client connection; identifies and, when the
     service requires it, authenticates the client."""
@@ -319,7 +322,7 @@ class Hello(Message):
 
 
 @register(21)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateGroupRequest(Message):
     """Create a group with an initial shared state (paper §3.2)."""
 
@@ -330,7 +333,7 @@ class CreateGroupRequest(Message):
 
 
 @register(22)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteGroupRequest(Message):
     """Delete a group; its shared state is lost (paper §3.2)."""
 
@@ -339,7 +342,7 @@ class DeleteGroupRequest(Message):
 
 
 @register(23)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinGroupRequest(Message):
     """Join a group and receive its state per ``transfer``.
 
@@ -354,7 +357,7 @@ class JoinGroupRequest(Message):
 
 
 @register(24)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeaveGroupRequest(Message):
     """Leave a group unobtrusively."""
 
@@ -363,7 +366,7 @@ class LeaveGroupRequest(Message):
 
 
 @register(25)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetMembershipRequest(Message):
     """Query current membership (``getMembership()``, paper §3.2)."""
 
@@ -372,7 +375,7 @@ class GetMembershipRequest(Message):
 
 
 @register(26)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListGroupsRequest(Message):
     """Enumerate groups known to the service."""
 
@@ -380,7 +383,7 @@ class ListGroupsRequest(Message):
 
 
 @register(27)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BcastStateRequest(Message):
     """``bcastState()``: replace the state of one shared object."""
 
@@ -392,7 +395,7 @@ class BcastStateRequest(Message):
 
 
 @register(28)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BcastUpdateRequest(Message):
     """``bcastUpdate()``: append an incremental change to an object."""
 
@@ -404,7 +407,7 @@ class BcastUpdateRequest(Message):
 
 
 @register(29)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcquireLockRequest(Message):
     """Acquire the per-object lock used to synchronize client updates."""
 
@@ -415,7 +418,7 @@ class AcquireLockRequest(Message):
 
 
 @register(30)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReleaseLockRequest(Message):
     """Release a previously acquired per-object lock."""
 
@@ -425,7 +428,7 @@ class ReleaseLockRequest(Message):
 
 
 @register(31)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReduceLogRequest(Message):
     """Client-requested state-log reduction (paper §3.2)."""
 
@@ -434,7 +437,7 @@ class ReduceLogRequest(Message):
 
 
 @register(32)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PingRequest(Message):
     """Liveness / RTT probe; the reply carries the server's clock."""
 
@@ -442,7 +445,7 @@ class PingRequest(Message):
 
 
 @register(33)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkAck(Message):
     """Client acknowledges contiguous receipt of a chunked state transfer.
 
@@ -459,7 +462,7 @@ class ChunkAck(Message):
 
 
 @register(34)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferResume(Message):
     """Client asks to resume a chunked transfer after a reconnection.
 
@@ -486,7 +489,7 @@ class TransferResume(Message):
 
 
 @register(50)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HelloReply(Message):
     """Handshake completion; identifies the serving server."""
 
@@ -495,7 +498,7 @@ class HelloReply(Message):
 
 
 @register(51)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ack(Message):
     """Generic success reply for requests with no payload."""
 
@@ -503,7 +506,7 @@ class Ack(Message):
 
 
 @register(52)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorReply(Message):
     """Failure reply; ``code`` matches :mod:`repro.core.errors` codes."""
 
@@ -513,7 +516,7 @@ class ErrorReply(Message):
 
 
 @register(53)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinReply(Message):
     """Successful join: the state transfer plus current membership."""
 
@@ -523,7 +526,7 @@ class JoinReply(Message):
 
 
 @register(54)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipReply(Message):
     """Reply to ``GetMembershipRequest``."""
 
@@ -533,7 +536,7 @@ class MembershipReply(Message):
 
 
 @register(55)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupListReply(Message):
     """Reply to ``ListGroupsRequest``."""
 
@@ -542,7 +545,7 @@ class GroupListReply(Message):
 
 
 @register(56)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery(Message):
     """A sequenced multicast delivered to a group member.
 
@@ -559,7 +562,7 @@ class Delivery(Message):
 
 
 @register(64)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateChunk(Message):
     """One slice of a chunked state transfer (bulk lane).
 
@@ -583,7 +586,7 @@ class StateChunk(Message):
 
 
 @register(57)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipNotice(Message):
     """Membership-change notification (only to subscribed members)."""
 
@@ -594,7 +597,7 @@ class MembershipNotice(Message):
 
 
 @register(58)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupDeletedNotice(Message):
     """The group was deleted; members should stop using it."""
 
@@ -602,7 +605,7 @@ class GroupDeletedNotice(Message):
 
 
 @register(59)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LockGranted(Message):
     """A blocking lock acquire succeeded (possibly after queueing)."""
 
@@ -612,7 +615,7 @@ class LockGranted(Message):
 
 
 @register(60)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PingReply(Message):
     """Reply to ``PingRequest``; carries the service clock reading."""
 
@@ -626,7 +629,7 @@ class PingReply(Message):
 
 
 @register(80)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerHello(Message):
     """A server introduces itself on an inter-server connection."""
 
@@ -635,7 +638,7 @@ class ServerHello(Message):
 
 
 @register(81)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerHelloReply(Message):
     """Coordinator's answer to ``ServerHello``; carries the server list."""
 
@@ -646,7 +649,7 @@ class ServerHelloReply(Message):
 
 
 @register(82)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardBcast(Message):
     """A replica forwards a client broadcast to the coordinator/sequencer."""
 
@@ -662,7 +665,7 @@ class ForwardBcast(Message):
 
 
 @register(83)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequencedBcast(Message):
     """Coordinator distributes a sequenced broadcast to interested servers."""
 
@@ -674,7 +677,7 @@ class SequencedBcast(Message):
 
 
 @register(84)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupInterest(Message):
     """A replica (un)registers interest in a group's broadcasts.
 
@@ -689,7 +692,7 @@ class GroupInterest(Message):
 
 
 @register(85)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateFetchRequest(Message):
     """A server asks a peer for group state it does not hold locally."""
 
@@ -699,7 +702,7 @@ class StateFetchRequest(Message):
 
 
 @register(86)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateFetchReply(Message):
     """Reply to ``StateFetchRequest``; empty snapshot if unknown group."""
 
@@ -709,7 +712,7 @@ class StateFetchReply(Message):
 
 
 @register(87)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Heartbeat(Message):
     """Liveness probe between the coordinator and each server (§4.2)."""
 
@@ -719,7 +722,7 @@ class Heartbeat(Message):
 
 
 @register(88)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeartbeatAck(Message):
     """Acknowledgement of a ``Heartbeat``."""
 
@@ -729,7 +732,7 @@ class HeartbeatAck(Message):
 
 
 @register(89)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerListUpdate(Message):
     """Coordinator pushes the ordered server list after joins/leaves.
 
@@ -743,7 +746,7 @@ class ServerListUpdate(Message):
 
 
 @register(90)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElectionRequest(Message):
     """A succession candidate asks peers to acknowledge its takeover."""
 
@@ -752,7 +755,7 @@ class ElectionRequest(Message):
 
 
 @register(91)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElectionReply(Message):
     """Peer vote: ack (it also believes the coordinator is down) or nack."""
 
@@ -762,7 +765,7 @@ class ElectionReply(Message):
 
 
 @register(92)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordinatorAnnounce(Message):
     """The elected candidate announces itself as coordinator for *epoch*."""
 
@@ -773,7 +776,7 @@ class CoordinatorAnnounce(Message):
 
 
 @register(93)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackupAssign(Message):
     """Coordinator directs a server to hold a hot-standby copy of a group.
 
@@ -787,7 +790,7 @@ class BackupAssign(Message):
 
 
 @register(96)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardCreateGroup(Message):
     """A replica forwards a client's ``createGroup`` to the coordinator,
     which owns the cluster-wide group registry."""
@@ -800,7 +803,7 @@ class ForwardCreateGroup(Message):
 
 
 @register(97)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardDeleteGroup(Message):
     """A replica forwards a client's ``deleteGroup`` to the coordinator."""
 
@@ -810,7 +813,7 @@ class ForwardDeleteGroup(Message):
 
 
 @register(98)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardReduceLog(Message):
     """A replica forwards a client's log-reduction request."""
 
@@ -820,7 +823,7 @@ class ForwardReduceLog(Message):
 
 
 @register(99)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardOutcome(Message):
     """Coordinator's verdict on a forwarded control request."""
 
@@ -831,7 +834,7 @@ class ForwardOutcome(Message):
 
 
 @register(100)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupCreated(Message):
     """Coordinator announces a new group to every server."""
 
@@ -842,7 +845,7 @@ class GroupCreated(Message):
 
 
 @register(101)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupDropped(Message):
     """Coordinator announces a group's deletion (or transient death)."""
 
@@ -850,7 +853,7 @@ class GroupDropped(Message):
 
 
 @register(102)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberUpdate(Message):
     """A replica reports local membership changes to the coordinator."""
 
@@ -861,7 +864,7 @@ class MemberUpdate(Message):
 
 
 @register(103)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupMembership(Message):
     """Coordinator pushes the group-wide membership view to servers."""
 
@@ -872,7 +875,7 @@ class GroupMembership(Message):
 
 
 @register(104)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReduceOrder(Message):
     """Coordinator instructs every state holder to reduce a group's log
     up to *seqno* (keeping replicated reductions aligned)."""
@@ -882,7 +885,7 @@ class ReduceOrder(Message):
 
 
 @register(105)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardAcquireLock(Message):
     """A replica forwards a lock acquire to the coordinator, which owns
     the group-wide lock table (locks must be global across servers)."""
@@ -897,7 +900,7 @@ class ForwardAcquireLock(Message):
 
 
 @register(106)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardReleaseLock(Message):
     """A replica forwards a lock release to the coordinator."""
 
@@ -909,7 +912,7 @@ class ForwardReleaseLock(Message):
 
 
 @register(107)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoteLockGrant(Message):
     """Coordinator grants a queued lock to a client on another server."""
 
@@ -920,7 +923,7 @@ class RemoteLockGrant(Message):
 
 
 @register(94)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReconcileOffer(Message):
     """After a partition heals, each side describes its branch of a group.
 
@@ -937,7 +940,7 @@ class ReconcileOffer(Message):
 
 
 @register(108)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupRebase(Message):
     """A coordinator replaces a group's state cluster-wide after
     reconciliation (the losing branch adopts the winner's snapshot)."""
@@ -947,7 +950,7 @@ class GroupRebase(Message):
 
 
 @register(109)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupForked(Message):
     """Reconciliation chose FORK: this side's branch of *group* continues
     under *new_name* as a separate group (paper §4.2)."""
@@ -957,7 +960,7 @@ class GroupForked(Message):
 
 
 @register(61)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RebaseNotice(Message):
     """Server tells a client its replica of *group* was rebased onto a
     reconciled snapshot; the client must replace its view."""
@@ -967,7 +970,7 @@ class RebaseNotice(Message):
 
 
 @register(62)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForkNotice(Message):
     """Server tells a client its group continues under a new name."""
 
@@ -989,7 +992,7 @@ class DisconnectReason(enum.IntEnum):
 
 
 @register(63)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disconnect(Message):
     """Server-initiated disconnect notice, flushed on the control lane
     before the transport is closed so the client learns *why* it lost the
@@ -1000,7 +1003,7 @@ class Disconnect(Message):
 
 
 @register(95)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReconcileChoice(Message):
     """The application-selected reconciliation outcome for a group.
 

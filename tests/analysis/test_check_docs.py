@@ -71,8 +71,12 @@ def _effect_exports():
     from repro.core import events
 
     # every concrete Effect in the public catalogue, the fan-out included
-    return [cls.__name__ for cls in events.Effect.__subclasses__()
-            if cls.__name__ in events.__all__]
+    # (not Effect.__subclasses__(): slots=True rebuilds each class, and
+    # the discarded pre-slots one is a subclass too)
+    exported = (getattr(events, name) for name in events.__all__)
+    return [cls.__name__ for cls in exported
+            if isinstance(cls, type) and issubclass(cls, events.Effect)
+            and cls is not events.Effect]
 
 
 #: gate -> (exports the gate must demand, a name to strip from the doc)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.errors import CodecError
 from repro.wire import codec
 from repro.wire.codec import Reader, Writer
+from repro.wire.messages import Message
 
 
 class TestVarints:
@@ -99,15 +100,15 @@ class TestPrimitives:
 
 
 @codec.register(900)
-@dataclass(frozen=True)
-class _Inner:
+@dataclass(frozen=True, slots=True)
+class _Inner(Message):
     name: str
     value: int
 
 
 @codec.register(901)
-@dataclass(frozen=True)
-class _Outer:
+@dataclass(frozen=True, slots=True)
+class _Outer(Message):
     flag: bool
     items: tuple[int, ...]
     mapping: dict[str, bytes]

@@ -71,7 +71,7 @@ def test_cached_frame_matches_direct_framing_for_every_registered_type():
 # --------------------------------------------------------------------------
 
 @register(910)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _StampedRecord(UpdateRecord):
     """Registered subclass used where the annotation says UpdateRecord."""
 
