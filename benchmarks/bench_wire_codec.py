@@ -94,7 +94,7 @@ def wire_codec_results() -> dict:
     def fanout_cached_frame():
         for _ in range(ITERATIONS // 10):
             msg = Delivery(group="room", update=_RECORD)
-            frame = frames.encoded_frame(msg).frame
+            frame = frames.encoded_frame(msg)
             for _ in range(FANOUT):
                 sink[:] = frame
 

@@ -466,7 +466,7 @@ _PERF_FANOUT_PREFIXES = (
 #: Direct encode entry points the frame cache replaces on these paths.
 _PERF_BANNED_CALLS = {
     "repro.wire.codec.encode",
-    "repro.wire.codec.encode_into",
+    "repro.wire.codec.frame",
     "repro.wire.codec.encoded_size",
 }
 

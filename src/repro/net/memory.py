@@ -12,7 +12,7 @@ from typing import Any, Iterable
 
 from repro.core.errors import NotConnectedError
 from repro.wire import codec
-from repro.wire.frames import encoded_frame
+from repro.wire.frames import FRAME_OVERHEAD, encoded_frame
 from repro.wire.messages import Message
 
 __all__ = ["MemoryConnection", "MemoryListener", "MemoryNetwork"]
@@ -40,12 +40,13 @@ class MemoryConnection:
         return self._peer_name
 
     def write_many(self, messages: Iterable[Message]) -> bool:
-        """Hand each message's cached payload to the peer's queue.
+        """Hand each message's cached frame to the peer's queue, which
+        decodes it in place behind its length prefix.
 
         The encode/decode round-trip keeps the wire format honest; going
         through the frame cache also enforces MAX_FRAME_SIZE, so this
         transport rejects oversized messages exactly like TCP does.
-        Handing the cached payload bytes across is already zero-copy —
+        Handing the cached frame bytes across is already zero-copy —
         safe for the same reason as TCP's writelines path: cached frames
         are immutable (no-mutation-after-cache, docs/protocol.md §6).
 
@@ -57,7 +58,7 @@ class MemoryConnection:
         if self._closed or self._other is None:
             raise NotConnectedError("connection is closed")
         for message in messages:
-            self._other._rx.put_nowait(encoded_frame(message).payload)
+            self._other._rx.put_nowait(encoded_frame(message))
         return False
 
     async def drained(self) -> None:
@@ -76,7 +77,7 @@ class MemoryConnection:
         if data is _EOF:
             self._closed = True
             return None
-        return codec.decode(data)
+        return codec.decode_at(data, FRAME_OVERHEAD, len(data))
 
     async def close(self) -> None:
         if self._closed:

@@ -24,8 +24,12 @@ Two implementations share the format:
 * the **compiled codec** (the default): :func:`register` derives a flat
   per-class encoder/decoder function — one generated pass over the fields
   with varint/length handling inlined, no per-field closure dispatch and no
-  repeated ``get_type_hints`` — and :func:`encode` reuses one module-level
-  output buffer so steady-state encoding allocates only the result bytes;
+  repeated ``get_type_hints``.  Encoders build into a fresh ``bytearray``;
+  :func:`frame` runs a class's *framer*, the same generated body behind a
+  4-byte length placeholder, compiled on the class's first frame.
+  Decoders index and slice the ``bytes`` they are given
+  (:func:`decode_at` decodes a frame in place inside a received chunk),
+  so a decoded value never holds a view of its input;
 * the **reference interpreter** (the original, closure-per-field codec),
   kept as :func:`reference_encode` / :func:`reference_decode`.  It is the
   executable specification: tests assert the compiled codec is
@@ -36,11 +40,11 @@ message instance itself, in the memo slot every ``Message`` carries
 (messages are frozen, so the bytes can never go stale; a payload is cut
 from an already-built frame rather than encoded again).  The fan-out
 paths — framing, transports, the simulator's
-cost model — go through it (via :mod:`repro.wire.frames`), which is what
-makes a broadcast cost one serialization no matter how many receivers it
-has.  :data:`encode counters <encode_counts>` record every real (cache
-missing) encode per class so tests and benchmarks can prove the
-encode-once property.
+cost model — go through :mod:`repro.wire.frames` instead of calling
+:func:`encode` or :func:`frame`, which is what makes a broadcast cost one
+serialization no matter how many receivers it has.  :data:`encode counters
+<encode_counts>` record every real (cache missing) encode per class so
+tests and benchmarks can prove the encode-once property.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ __all__ = [
     "register",
     "compile_init",
     "encode",
-    "encode_into",
+    "frame",
     "decode",
+    "decode_at",
     "encoded_size",
     "cached_encode",
     "reference_encode",
@@ -198,10 +203,17 @@ _CODE_TO_CLASS: dict[int, type] = {}
 _CLASS_TO_CODE: dict[type, int] = {}
 _FIELD_CODECS: dict[type, list[tuple[str, Encoder, Decoder]]] = {}
 
-#: Compiled per-class fast paths: ``fn(buf: bytearray, obj) -> None`` and
-#: ``fn(view: memoryview, pos: int, end: int) -> (obj, pos)``.
+#: Compiled per-class fast paths: ``fn(buf: bytearray, obj) -> None``,
+#: ``fn(data: bytes, pos: int, end: int) -> (obj, pos)`` and the framer
+#: ``fn(obj) -> bytes`` (compiled on first use, see :func:`frame`).
 _COMPILED_ENC: dict[type, Callable[[bytearray, Any], None]] = {}
-_COMPILED_DEC: dict[type, Callable[[memoryview, int, int], tuple[Any, int]]] = {}
+_COMPILED_DEC: dict[type, Callable[[bytes, int, int], tuple[Any, int]]] = {}
+_COMPILED_FRAME: dict[type, Callable[[Any], bytes]] = {}
+
+#: Decoder by first byte: filled for every one-byte type code (below 128,
+#: which the whole catalogue is); a longer code's first byte is >= 128 and
+#: stays ``None``, so it takes the uvarint path.
+_DECODER_BY_CODE: list[Callable | None] = [None] * 256
 
 #: Real encodes performed per message class (cache misses only); see
 #: :func:`encode_counts`.
@@ -219,7 +231,8 @@ def register(type_code: int) -> Callable[[type], type]:
     and gets the :func:`compile_init` constructor.  Registration also
     compiles the class's flat encoder/decoder pair when its type hints are
     already resolvable; classes with forward references compile lazily on
-    first use instead.
+    first use instead.  The framer always compiles on first use: most
+    classes are never framed by a given process.
     """
 
     def _apply(cls: type) -> type:
@@ -698,12 +711,12 @@ def _emit_encode_nested(
 
 
 def _emit_decode_uvarint(var: str, lines: list[str], names: _Names, ind: str) -> None:
-    """Append statements reading a uvarint from ``view`` at ``pos`` into *var*."""
+    """Append statements reading a uvarint from ``data`` at ``pos`` into *var*."""
     b, s = names.new("b"), names.new("s")
     lines += [
         f"{ind}if pos >= end:",
         f"{ind}    raise _CodecError('truncated varint')",
-        f"{ind}{var} = view[pos]",
+        f"{ind}{var} = data[pos]",
         f"{ind}pos += 1",
         f"{ind}if {var} >= 128:",
         f"{ind}    {var} &= 127",
@@ -711,7 +724,7 @@ def _emit_decode_uvarint(var: str, lines: list[str], names: _Names, ind: str) ->
         f"{ind}    while True:",
         f"{ind}        if pos >= end:",
         f"{ind}            raise _CodecError('truncated varint')",
-        f"{ind}        {b} = view[pos]",
+        f"{ind}        {b} = data[pos]",
         f"{ind}        pos += 1",
         f"{ind}        {var} |= ({b} & 127) << {s}",
         f"{ind}        if not {b} & 128:",
@@ -738,7 +751,7 @@ def _emit_decode(
         lines += [
             f"{ind}if pos >= end:",
             f"{ind}    raise _CodecError('truncated buffer: needed 1 bytes, had 0')",
-            f"{ind}{flag} = view[pos]",
+            f"{ind}{flag} = data[pos]",
             f"{ind}pos += 1",
             f"{ind}{target} = None",
             f"{ind}if {flag}:",
@@ -784,7 +797,7 @@ def _emit_decode(
             lines += [
                 f"{ind}if pos >= end:",
                 f"{ind}    raise _CodecError('truncated buffer: needed 1 bytes, had 0')",
-                f"{ind}{target} = view[pos] != 0",
+                f"{ind}{target} = data[pos] != 0",
                 f"{ind}pos += 1",
             ]
             return
@@ -813,7 +826,7 @@ def _emit_decode(
                 f"{ind}if end - pos < 8:",
                 f"{ind}    raise _CodecError(f'truncated buffer: needed 8 bytes, "
                 f"had {{end - pos}}')",
-                f"{ind}{target} = _unpack_double(view, pos)[0]",
+                f"{ind}{target} = _unpack_double(data, pos)[0]",
                 f"{ind}pos += 8",
             ]
             return
@@ -825,7 +838,7 @@ def _emit_decode(
                 f"{ind}    raise _CodecError(f'truncated buffer: needed {{{n}}} "
                 f"bytes, had {{end - pos}}')",
                 f"{ind}try:",
-                f"{ind}    {target} = str(view[pos:pos + {n}], 'utf-8')",
+                f"{ind}    {target} = data[pos:pos + {n}].decode('utf-8')",
                 f"{ind}except UnicodeDecodeError as exc:",
                 f"{ind}    raise _CodecError(f'invalid utf-8 in string field: "
                 f"{{exc}}') from exc",
@@ -839,7 +852,7 @@ def _emit_decode(
                 f"{ind}if end - pos < {n}:",
                 f"{ind}    raise _CodecError(f'truncated buffer: needed {{{n}}} "
                 f"bytes, had {{end - pos}}')",
-                f"{ind}{target} = bytes(view[pos:pos + {n}])",
+                f"{ind}{target} = data[pos:pos + {n}]",
                 f"{ind}pos += {n}",
             ]
             return
@@ -873,7 +886,7 @@ def _emit_decode_nested(
         except Exception:
             inline = False
     if not inline:
-        lines.append(f"{ind}{target}, pos = _decode_any(view, pos, end)")
+        lines.append(f"{ind}{target}, pos = _decode_any(data, pos, end)")
         return
     code = names.new("code")
     _emit_decode_uvarint(code, lines, names, ind)
@@ -884,7 +897,7 @@ def _emit_decode_nested(
     args = _emit_decode_fields(tp, hints, lines, ns, names, body, stack | {tp})
     lines.append(f"{body}{target} = {cls_name}({args})")
     lines.append(f"{ind}else:")
-    lines.append(f"{ind}    {target}, pos = _decode_known(view, pos, end, {code})")
+    lines.append(f"{ind}    {target}, pos = _decode_known(data, pos, end, {code})")
 
 
 def _emit_decode_fields(
@@ -911,31 +924,49 @@ def _emit_decode_fields(
     return ", ".join(args)
 
 
-def _compile_encoder(cls: type) -> Callable[[bytearray, Any], None]:
-    """Build, exec, and cache the flat encoder for *cls*."""
-    code = type_code_of(cls)
+def _compile_encoder(cls: type, framed: bool = False) -> Callable:
+    """Build, exec, and cache *cls*'s flat encoder ``fn(buf, obj)``, which
+    appends the type code and the fields to *buf* — or, *framed*, its
+    framer ``fn(obj) -> bytes``: the same body in a fresh buffer behind a
+    length placeholder that it patches, counted as one encode."""
+    code = _uvarint_bytes(type_code_of(cls))
     hints = get_type_hints(cls)
     ns: dict[str, Any] = {
         "_pack_double": _DOUBLE.pack,
         "_encode_any": _encode_any,
         "_CodecError": CodecError,
-        "_code_bytes": _uvarint_bytes(code),
+        "_cls": cls,
+        "_counts": _ENCODE_COUNTS,
     }
+    if framed:
+        head = frames._LEN
+        ns.update(_head=bytes(head.size) + code, _pack_len=head.pack_into)
+        lines = ["def _enc(obj):", "    buf = bytearray(_head)"]
+    else:
+        ns["_head"] = code
+        lines = ["def _enc(buf, obj):", "    buf += _head"]
     names = _Names()
-    lines = ["def _enc(buf, obj):", "    buf += _code_bytes"]
     for f in fields(cls):
         if f.metadata.get("wire_skip"):
             continue
         _emit_encode(hints[f.name], f"obj.{f.name}", lines, ns, names, "    ")
+    if framed:
+        lines += [
+            f"    _pack_len(buf, 0, len(buf) - {head.size})",
+            "    _counts[_cls] = _counts.get(_cls, 0) + 1",
+            "    return bytes(buf)",
+        ]
+    kind = "frame" if framed else "enc"
     src = "\n".join(lines) + "\n"
-    exec(compile(src, f"<corona-codec-enc:{cls.__name__}>", "exec"), ns)
+    exec(compile(src, f"<corona-codec-{kind}:{cls.__name__}>", "exec"), ns)
     fn = ns["_enc"]
-    _COMPILED_ENC[cls] = fn
+    (_COMPILED_FRAME if framed else _COMPILED_ENC)[cls] = fn
     return fn
 
 
-def _compile_decoder(cls: type) -> Callable[[memoryview, int, int], tuple[Any, int]]:
-    """Build, exec, and cache the flat decoder for *cls*.
+def _compile_decoder(cls: type) -> Callable[[bytes, int, int], tuple[Any, int]]:
+    """Build, exec, and cache the flat decoder for *cls*, entering it in
+    the first-byte table when its type code is one byte.
 
     The decoder is entered *after* the type code has been consumed (the
     dispatcher reads it), mirroring how the reference interpreter splits
@@ -950,7 +981,7 @@ def _compile_decoder(cls: type) -> Callable[[memoryview, int, int], tuple[Any, i
         "_CodecError": CodecError,
     }
     names = _Names()
-    lines = ["def _dec(view, pos, end):"]
+    lines = ["def _dec(data, pos, end):"]
     args = _emit_decode_fields(cls, hints, lines, ns, names, "    ", frozenset())
     if len(lines) == 1:
         lines.append("    pass")
@@ -959,6 +990,9 @@ def _compile_decoder(cls: type) -> Callable[[memoryview, int, int], tuple[Any, i
     exec(compile(src, f"<corona-codec-dec:{cls.__name__}>", "exec"), ns)
     fn = ns["_dec"]
     _COMPILED_DEC[cls] = fn
+    code = type_code_of(cls)
+    if code < 0x80:
+        _DECODER_BY_CODE[code] = fn
     return fn
 
 
@@ -976,13 +1010,13 @@ def _encode_any(buf: bytearray, obj: Any) -> None:
     enc(buf, obj)
 
 
-def _read_uvarint(view: memoryview, pos: int, end: int) -> tuple[int, int]:
+def _read_uvarint(data: bytes, pos: int, end: int) -> tuple[int, int]:
     result = 0
     shift = 0
     while True:
         if pos >= end:
             raise CodecError("truncated varint")
-        byte = view[pos]
+        byte = data[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
@@ -992,9 +1026,7 @@ def _read_uvarint(view: memoryview, pos: int, end: int) -> tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def _decode_known(
-    view: memoryview, pos: int, end: int, code: int
-) -> tuple[Any, int]:
+def _decode_known(data: bytes, pos: int, end: int, code: int) -> tuple[Any, int]:
     """Dispatch to the compiled decoder for an already-read type *code*."""
     cls = _CODE_TO_CLASS.get(code)
     if cls is None:
@@ -1002,76 +1034,70 @@ def _decode_known(
     dec = _COMPILED_DEC.get(cls)
     if dec is None:
         dec = _compile_decoder(cls)
-    return dec(view, pos, end)
+    return dec(data, pos, end)
 
 
-def _decode_any(view: memoryview, pos: int, end: int) -> tuple[Any, int]:
-    """Read a type code and dispatch to the compiled decoder."""
-    code, pos = _read_uvarint(view, pos, end)
-    return _decode_known(view, pos, end, code)
+def _decode_any(data: bytes, pos: int, end: int) -> tuple[Any, int]:
+    """Read a type code and dispatch to the compiled decoder: a one-byte
+    code through the first-byte table, a longer one as a uvarint."""
+    if pos < end:
+        dec = _DECODER_BY_CODE[data[pos]]
+        if dec is not None:
+            return dec(data, pos + 1, end)
+    code, pos = _read_uvarint(data, pos, end)
+    return _decode_known(data, pos, end, code)
 
 
 # --------------------------------------------------------------------------
 # public entry points
 # --------------------------------------------------------------------------
 
-#: Reusable output buffer: encode() clears and refills it instead of
-#: allocating a fresh bytearray per message.  The busy flag guards the rare
-#: reentrant case (an encoder raising mid-way through a callback that
-#: encodes again); concurrent *threads* must not share the codec module —
-#: the runtime is single-threaded asyncio and the simulator is sequential.
-_SHARED_BUF = bytearray()
-_shared_busy = False
-
-
-def encode(obj: Any, header: struct.Struct | None = None) -> bytes:
-    """Encode a registered dataclass instance to bytes (compiled path);
-    with *header*, prefixed by the payload length it packs — a frame built
-    in one pass and one copy (:mod:`repro.wire.frames`)."""
-    global _shared_busy
-    if _shared_busy:
-        buf = bytearray()
-    else:
-        _shared_busy = True
-        buf = _SHARED_BUF
-        del buf[:]
-    try:
-        if header is None:
-            encode_into(obj, buf)
-        else:
-            buf += bytes(header.size)
-            encode_into(obj, buf)
-            header.pack_into(buf, 0, len(buf) - header.size)
-        return bytes(buf)
-    finally:
-        if buf is _SHARED_BUF:
-            _shared_busy = False
-
-
-def encode_into(obj: Any, buf: bytearray) -> None:
-    """Append the encoding of *obj* to *buf* (compiled path)."""
+def encode(obj: Any) -> bytes:
+    """Encode a registered dataclass instance to bytes (compiled path)."""
     cls = type(obj)
-    enc = _COMPILED_ENC.get(cls)
-    if enc is None:
-        enc = _compile_encoder(cls)
-    start = len(buf)
+    enc = _COMPILED_ENC.get(cls) or _compile_encoder(cls)
+    buf = bytearray()
     try:
         enc(buf, obj)
     except CodecError:
-        del buf[start:]
         raise
     except Exception as exc:
-        del buf[start:]
         raise CodecError(f"cannot encode {cls.__name__}: {exc}") from exc
     _ENCODE_COUNTS[cls] = _ENCODE_COUNTS.get(cls, 0) + 1
+    return bytes(buf)
+
+
+def frame(obj: Any) -> bytes:
+    """Encode *obj* as a length-prefixed frame, in one pass and one copy,
+    with the class's framer (compiled here on the class's first frame).
+
+    Memoizes nothing and checks no size limit: send paths go through
+    :func:`repro.wire.frames.encoded_frame`, which does both.
+    """
+    cls = type(obj)
+    framer = _COMPILED_FRAME.get(cls) or _compile_encoder(cls, framed=True)
+    try:
+        return framer(obj)
+    except CodecError:
+        raise
+    except Exception as exc:
+        raise CodecError(f"cannot encode {cls.__name__}: {exc}") from exc
 
 
 def decode(data: bytes) -> Any:
     """Decode bytes produced by :func:`encode` back to an instance."""
-    view = memoryview(data)
-    end = len(view)
+    if data.__class__ is not bytes:
+        data = bytes(data)
+    return decode_at(data, 0, len(data))
+
+
+def decode_at(data: bytes, start: int, end: int) -> Any:
+    """Decode the one message that exactly fills ``data[start:end]``,
+    reading it where it lies: a frame inside a received chunk is decoded
+    without being cut out first.  *data* must be ``bytes``; what the
+    message holds is sliced from it, never a view of it."""
     try:
-        obj, pos = _decode_any(view, 0, end)
+        obj, pos = _decode_any(data, start, end)
     except CodecError:
         raise
     except Exception as exc:
@@ -1091,8 +1117,8 @@ def cached_encode(obj: Any) -> bytes:
     """
     payload = getattr(obj, _PAYLOAD_ATTR, None)
     if payload is None:
-        frame = frames.cached_frame(obj)
-        payload = encode(obj) if frame is None else frame.payload
+        framed = frames.cached_frame(obj)
+        payload = encode(obj) if framed is None else framed[frames.FRAME_OVERHEAD:]
         object.__setattr__(obj, _PAYLOAD_ATTR, payload)
     return payload
 

@@ -12,11 +12,13 @@ Contract (documented in ``docs/protocol.md``):
 
 * messages are frozen dataclasses, so a cached frame can never go stale —
   there is no invalidation, only garbage collection with the instance;
-* the memo is a slot every ``Message`` declares, ``None`` until set;
+* the memo is a slot every ``Message`` declares, ``None`` until set, and
+  holds the frame ``bytes`` themselves;
 * the cache is per-instance, not per-value: two equal messages built
   separately encode separately (the hot path always reuses one instance);
-* a frame is encoded in one pass behind a reserved length prefix; the
-  bare payload is cut from it only for callers that want one;
+* a frame is built in one pass by the class's framer
+  (:func:`repro.wire.codec.frame`); the bare payload is ``frame[4:]``,
+  cut and memoized only by the callers that want one (:func:`payload_of`);
 * :exc:`~repro.core.errors.FrameTooLargeError` is raised at frame-build
   time, before any receiver sees a byte, and is *not* cached — a retry
   re-raises by re-checking the length.
@@ -33,7 +35,6 @@ from repro.wire import codec
 __all__ = [
     "MAX_FRAME_SIZE",
     "FRAME_OVERHEAD",
-    "EncodedFrame",
     "encoded_frame",
     "cached_frame",
     "payload_of",
@@ -49,56 +50,30 @@ MAX_FRAME_SIZE = 16 * 1024 * 1024
 #: Bytes the length prefix adds on top of the payload.
 FRAME_OVERHEAD = _LEN.size
 
-#: Instance slot holding the memoized EncodedFrame.
+#: Instance slot holding the memoized frame bytes.
 _FRAME_ATTR = "_corona_wire_frame"
 
 
-class EncodedFrame:
-    """One message's length-prefixed wire frame.  The payload — the frame
-    without its prefix — is sliced off on first use and kept."""
-
-    __slots__ = ("frame", "_payload")
-
-    def __init__(self, frame: bytes, payload: bytes | None = None) -> None:
-        self.frame = frame
-        self._payload = payload
-
-    @property
-    def payload(self) -> bytes:
-        payload = self._payload
-        if payload is None:
-            payload = self._payload = self.frame[FRAME_OVERHEAD:]
-        return payload
-
-    @property
-    def payload_size(self) -> int:
-        return len(self.frame) - FRAME_OVERHEAD
-
-    @property
-    def frame_size(self) -> int:
-        return len(self.frame)
-
-
-def cached_frame(message: Any) -> EncodedFrame | None:
+def cached_frame(message: Any) -> bytes | None:
     """The frame memoized on *message*, or ``None`` before its first
     :func:`encoded_frame` (the one way to ask whether it was encoded)."""
     return getattr(message, _FRAME_ATTR, None)
 
 
-def encoded_frame(message: Any) -> EncodedFrame:
-    """Return the (memoized) :class:`EncodedFrame` for *message*.
+def encoded_frame(message: Any) -> bytes:
+    """Return the (memoized) length-prefixed frame of *message*.
 
     Encodes at most once per message instance — a payload already memoized
     by :func:`payload_of` is framed, not encoded again; raises
     :exc:`FrameTooLargeError` when the payload exceeds
     :data:`MAX_FRAME_SIZE`.
     """
-    cached = getattr(message, _FRAME_ATTR, None)
-    if cached is not None:
-        return cached
+    frame = getattr(message, _FRAME_ATTR, None)
+    if frame is not None:
+        return frame
     payload = getattr(message, codec._PAYLOAD_ATTR, None)
     if payload is None:
-        frame = codec.encode(message, _LEN)
+        frame = codec.frame(message)
     else:
         frame = _LEN.pack(len(payload)) + payload
     size = len(frame) - FRAME_OVERHEAD
@@ -106,9 +81,8 @@ def encoded_frame(message: Any) -> EncodedFrame:
         raise FrameTooLargeError(
             f"outgoing frame of {size} bytes exceeds {MAX_FRAME_SIZE}"
         )
-    cached = EncodedFrame(frame, payload)
-    object.__setattr__(message, _FRAME_ATTR, cached)
-    return cached
+    object.__setattr__(message, _FRAME_ATTR, frame)
+    return frame
 
 
 def payload_of(message: Any) -> bytes:
@@ -128,4 +102,4 @@ def frame_size(message: Any) -> int:
     through the frame cache means sizing a message that is subsequently
     sent costs no extra serialization pass.
     """
-    return len(encoded_frame(message).frame)
+    return len(encoded_frame(message))

@@ -176,11 +176,21 @@ class TestPERF001FanoutEncode:
         )
         assert "PERF001" in rule_ids(src, path="src/repro/net/tcp.py")
 
+    def test_fires_on_raw_framer_in_net(self):
+        """``codec.frame`` builds a frame without the memo: on a send path
+        it would encode once per receiver."""
+        src = (
+            "from repro.wire import codec\n\n"
+            "def write_many(transport, messages):\n"
+            "    transport.writelines([codec.frame(m) for m in messages])\n"
+        )
+        assert "PERF001" in rule_ids(src, path="src/repro/net/memory.py")
+
     def test_silent_on_frame_cache_path(self):
         src = (
             "from repro.wire import frames\n\n"
             "def deliver(conns, msg):\n"
-            "    frame = frames.encoded_frame(msg).frame\n"
+            "    frame = frames.encoded_frame(msg)\n"
             "    for conn in conns:\n"
             "        push(conn, frame)\n"
         )

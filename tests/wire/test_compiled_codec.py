@@ -4,8 +4,7 @@ The reference interpreter (:func:`codec.reference_encode` /
 :func:`codec.reference_decode`) is the executable specification of the
 wire format; these tests pin the compiled fast path — and the per-instance
 frame cache built on top of it — byte-for-byte against it, for the entire
-registered catalogue and under hypothesis-generated inputs with buffer
-reuse.
+registered catalogue and under hypothesis-generated inputs.
 """
 
 from array import array
@@ -57,13 +56,29 @@ def test_every_registered_type_compiles_eagerly():
 def test_cached_frame_matches_direct_framing_for_every_registered_type():
     for code in sorted(_registry()):
         cls = _registry()[code]
-        # two equal instances: one framed via the cache, one freshly
-        cached = frames.encoded_frame(_instance_of(cls))
-        direct = frame_message(_instance_of(cls))
-        assert cached.frame == direct, cls.__name__
-        assert cached.payload == codec.reference_encode(_instance_of(cls))
-        assert cached.frame[frames.FRAME_OVERHEAD:] == cached.payload
-        assert cached.frame_size == cached.payload_size + frames.FRAME_OVERHEAD
+        # equal instances: one framed via the cache, one by the raw framer
+        message = _instance_of(cls)
+        cached = frames.encoded_frame(message)
+        assert cached == codec.frame(_instance_of(cls)), cls.__name__
+        payload = codec.reference_encode(_instance_of(cls))
+        assert cached[frames.FRAME_OVERHEAD:] == payload
+        assert int.from_bytes(cached[:frames.FRAME_OVERHEAD], "big") == len(payload)
+        assert frames.frame_size(message) == len(payload) + frames.FRAME_OVERHEAD
+
+
+def test_framers_compile_on_first_frame():
+    """register() compiles no framer: most classes are never framed."""
+
+    @register(912)
+    @dataclass(frozen=True, slots=True)
+    class Unframed(UpdateRecord):
+        pass
+
+    assert Unframed in codec._COMPILED_ENC
+    assert Unframed not in codec._COMPILED_FRAME
+    record = Unframed(1, UpdateKind.UPDATE, "o", b"d", "s", 0.0)
+    assert frame_message(record)[frames.FRAME_OVERHEAD:] == codec.reference_encode(record)
+    assert Unframed in codec._COMPILED_FRAME
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +121,7 @@ def test_buffer_valued_bytes_field_encodes_like_bytes():
 
 
 # --------------------------------------------------------------------------
-# buffer reuse
+# successive encodes
 # --------------------------------------------------------------------------
 
 _records = st.builds(
@@ -121,12 +136,14 @@ _records = st.builds(
 
 
 @given(st.lists(_records, min_size=1, max_size=10))
-def test_roundtrip_under_shared_buffer_reuse(records):
-    """encode() reuses one module-level buffer; successive encodes must
-    not bleed into each other and must stay spec-identical."""
+def test_successive_encodes_and_frames_stay_spec_identical(records):
+    """Successive encodes and frames must not bleed into each other and
+    must stay spec-identical."""
     blobs = [codec.encode(r) for r in records]
-    for record, blob in zip(records, blobs):
+    framed = [codec.frame(r) for r in records]
+    for record, blob, frame in zip(records, blobs, framed):
         assert blob == codec.reference_encode(record)
+        assert frame == len(blob).to_bytes(frames.FRAME_OVERHEAD, "big") + blob
         assert codec.decode(blob) == record
 
 
@@ -152,7 +169,7 @@ def test_cached_encode_is_one_encode_per_instance():
     first = codec.cached_encode(msg)
     assert codec.cached_encode(msg) is first
     assert codec.encoded_size(msg) == len(first)
-    assert frames.encoded_frame(msg).payload == first
+    assert frames.encoded_frame(msg)[frames.FRAME_OVERHEAD:] == first
     after = codec.encode_counts().get(Ack, 0)
     assert after - before == 1
 

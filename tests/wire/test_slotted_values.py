@@ -152,7 +152,7 @@ def test_replace_returns_an_instance_with_an_empty_frame_cache():
     copy = replace(original, skipped=(7,))
     assert frames.cached_frame(copy) is None
     assert getattr(copy, codec._PAYLOAD_ATTR) is None
-    assert frames.encoded_frame(copy).frame != frames.encoded_frame(original).frame
+    assert frames.encoded_frame(copy) != frames.encoded_frame(original)
 
 
 def test_register_rejects_a_class_that_cannot_hold_the_memo():
@@ -182,8 +182,11 @@ def test_cached_encode_cuts_the_payload_from_an_existing_frame():
     record = UpdateRecord(2, UpdateKind.UPDATE, "o", b"y" * 50, "s", 1.0)
     before = codec.encode_counts().get(UpdateRecord, 0)
     frame = frames.encoded_frame(record)
-    assert frames.payload_of(record) == frame.frame[frames.FRAME_OVERHEAD:]
-    assert codec.encoded_size(record) == frame.payload_size
+    assert frames.cached_frame(record) is frame  # the memo is the frame
+    payload = frames.payload_of(record)
+    assert payload == frame[frames.FRAME_OVERHEAD:]
+    assert frames.payload_of(record) is payload  # cut once, then memoized
+    assert codec.encoded_size(record) == len(frame) - frames.FRAME_OVERHEAD
     assert codec.encode_counts().get(UpdateRecord, 0) - before == 1
 
 
@@ -191,7 +194,9 @@ def test_a_payload_is_framed_not_encoded_again():
     record = UpdateRecord(3, UpdateKind.UPDATE, "o", b"z" * 50, "s", 1.0)
     before = codec.encode_counts().get(UpdateRecord, 0)
     payload = frames.payload_of(record)
-    assert frames.encoded_frame(record).payload is payload
+    frame = frames.encoded_frame(record)
+    assert frame[frames.FRAME_OVERHEAD:] == payload
+    assert frames.payload_of(record) is payload
     assert frames.frame_size(record) == len(payload) + frames.FRAME_OVERHEAD
     assert codec.encode_counts().get(UpdateRecord, 0) - before == 1
 
