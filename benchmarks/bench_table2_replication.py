@@ -14,6 +14,7 @@ Paper claims reproduced:
 
 from repro.bench.experiments import table2
 from repro.bench.report import format_table
+from repro.bench.results import save_results
 
 CLIENT_COUNTS = (100, 200, 300)
 
@@ -33,6 +34,13 @@ def test_table2(benchmark, paper_report):
         "the replicated service's advantage should grow with group size"
     )
 
+    save_results("table2", {
+        "rows": [
+            {"clients": r.clients, "single_ms": r.single_ms,
+             "replicated_ms": r.replicated_ms}
+            for r in rows
+        ],
+    })
     paper_report(format_table(
         "Table 2 — multicast RTT (ms), 1000 B: single vs coordinator+6 servers",
         ["clients", "single server", "multiple servers", "speedup"],

@@ -3,22 +3,15 @@
 Three rule families, all architectural (they need the cross-module
 ownership model and call graph that single-file lint cannot build):
 
-``SHARD001–003`` — shard-ownership dataflow.  A *threaded worker* is a
-class owning a ``threading.Thread`` attribute (a shard with its own
-event loop), or a base class only workers inherit (what a backend-free
-front types its workers as); a *front* class holds such workers.
-Shard-owned mutable state
-(ServerCore, GroupRuntime/StateLog behind it, WAL handles, interpreter,
-containers) must only be reached from its own loop; the blessed
-cross-thread surface is the mailbox (``post``), lifecycle methods, and
-the ``call_front``/``run_front`` bridges.  The shipped drivers run every
-shard on the front's own loop (asyncio) or kernel (sim), so these three
-have no threaded worker to fire on today; they guard a future threaded
-or process-per-shard driver.  ``SHARD004`` covers the elastic topology
-under any driver: GroupRuntime state may only be touched under the
-owning worker's lease — by a class that runs the mailbox item protocol
+``SHARD004`` — the lease discipline of the elastic topology, under any
+driver.  GroupRuntime state may only be touched under the owning
+worker's lease — by a class that runs the mailbox item protocol
 (defines or inherits ``process_item``) — because live migration can
 move a group between shards at any item boundary.
+
+``SCHED001`` — shared group state (``SharedState`` / ``SharedObject``)
+is mutated only on the scheduler's serial commit path, so optimistic
+parallel execution sees every mutation its version checks depend on.
 
 ``BLOCK001–002`` — blocking-call reachability.  ``time.sleep``, fsync,
 sync file/socket I/O and ``subprocess`` must not run on an event loop.
@@ -30,12 +23,6 @@ call written directly in such an entry point, BLOCK002 one *reachable*
 from it through the call graph, including the dynamic hop through
 ``interpreter.execute`` into the enclosing backend's effect methods.
 
-``LOCK002–003`` — locks under concurrency.  LOCK002 flags an ``await``
-while a synchronous lock is held inside a coroutine; LOCK003 builds the
-static lock-order graph from nested acquisition sites (``with`` blocks,
-``.acquire()`` calls, constant-id ``LockTable.acquire`` sites) and
-reports every cycle.
-
 Every rule reports :class:`Finding` values whose messages embed the
 enclosing symbol, so the committed JSON baseline matches findings by
 ``(rule, path, message)`` — stable across unrelated line drift.
@@ -46,120 +33,23 @@ from __future__ import annotations
 import ast
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.program import FunctionInfo, ProgramGraph, TypeRef
+from repro.analysis.program import FunctionInfo, ProgramGraph
 from repro.analysis.suppress import line_suppresses
 
 __all__ = [
-    "DEEP_RULE_DOCS",
+    "DEEP_RULES",
     "ALL_DEEP_RULES",
     "check_graph",
     "deepcheck_paths",
-    "lock_order_cycles",
     "fingerprint",
     "load_baseline",
     "split_baselined",
     "baseline_payload",
     "unjustified_entries",
 ]
-
-DEEP_RULE_DOCS: dict[str, tuple[Severity, str, str]] = {
-    "SHARD001": (
-        Severity.ERROR,
-        "front-side code reaches into a shard worker's mutable state "
-        "(core, interpreter, store, containers) outside the mailbox "
-        "surface, breaking the share-nothing invariant of §4.1 sharding",
-        "route the work through worker.post(...) or read an immutable "
-        "snapshot published before the worker thread started",
-    ),
-    "SHARD002": (
-        Severity.ERROR,
-        "a shard-owned mutable object is posted through a mailbox, "
-        "aliasing live state across event loops",
-        "post immutable data (tuples, frozen messages) or copies",
-    ),
-    "SHARD003": (
-        Severity.ERROR,
-        "shard-worker code touches front-loop state directly instead of "
-        "going through call_front/run_front",
-        "wrap the access in a closure handed to the front bridge",
-    ),
-    "SHARD004": (
-        Severity.ERROR,
-        "GroupRuntime state (or the ServerCore runtime table behind it) "
-        "is accessed outside the owning worker's lease — under live "
-        "migration a group's runtime may move between shards at any "
-        "item boundary, so only code running on the leased worker's "
-        "loop may touch it",
-        "read the immutable owned_groups/recovered_groups snapshots, "
-        "sample DispatchStats, or route the work through the mailbox",
-    ),
-    "SCHED001": (
-        Severity.ERROR,
-        "shared group state (SharedState/SharedObject) is mutated "
-        "outside the scheduler commit path — under optimistic parallel "
-        "execution any such site can interleave with in-flight "
-        "speculation and corrupt the version checks",
-        "mutate through GroupRuntime.apply_and_deliver/reduce (the "
-        "serial commit points) or baseline the site with a "
-        "justification (client-side mirrors, recovery replay)",
-    ),
-    "BLOCK001": (
-        Severity.ERROR,
-        "a blocking call (sleep, fsync, sync file/socket I/O, "
-        "subprocess) is written directly in an async def or an "
-        "event-loop callback",
-        "await the async equivalent or move the call to an executor",
-    ),
-    "BLOCK002": (
-        Severity.ERROR,
-        "a blocking call is transitively reachable from a coroutine "
-        "or callback running on an event loop (including through effect "
-        "dispatch)",
-        "break the chain with run_in_executor or baseline it with a "
-        "justification (e.g. shutdown paths, startup recovery)",
-    ),
-    "LOCK002": (
-        Severity.ERROR,
-        "a coroutine awaits while holding a synchronous lock, stalling "
-        "every other task contending for it",
-        "release the lock before awaiting, or use an asyncio lock",
-    ),
-    "LOCK003": (
-        Severity.ERROR,
-        "two code paths acquire the same locks in opposite orders — a "
-        "static lock-order cycle that can deadlock",
-        "pick one global acquisition order and stick to it",
-    ),
-}
-
-ALL_DEEP_RULES: tuple[str, ...] = tuple(sorted(DEEP_RULE_DOCS))
-
-#: Worker methods the front may legitimately call cross-thread: the
-#: mailbox itself plus thread lifecycle (start/stop run before the loop
-#: exists or after it drained — the documented handoff points).
-SANCTIONED_WORKER_METHODS = frozenset({"post", "start", "stop"})
-
-#: Bridge calls whose closure arguments execute on the *front* loop, so
-#: worker code inside them may touch front state (SHARD003 skips them).
-FRONT_BRIDGES = frozenset({"call_front", "run_front", "_relay"})
-
-#: Types safe to read across threads: immutables, plus the two
-#: threading primitives whose entire point is cross-thread use.
-_SAFE_TYPES = frozenset({
-    "builtins.int", "builtins.float", "builtins.str", "builtins.bytes",
-    "builtins.bool", "builtins.tuple", "builtins.frozenset",
-    "threading.Thread", "threading.Event", "threading.Lock",
-})
-
-#: Known-mutable external containers (program classes are always
-#: treated as mutable; unknown external types are skipped).
-_MUTABLE_TYPES = frozenset({
-    "builtins.list", "builtins.dict", "builtins.set", "builtins.bytearray",
-    "collections.deque", "asyncio.Queue", "queue.Queue",
-})
 
 #: Calls that block the calling thread.  Exact dotted names.
 _BLOCKING_CALLS = {
@@ -202,249 +92,26 @@ _LOOP_SCHEDULERS = {
     "call_soon": 0, "call_soon_threadsafe": 0, "call_later": 1, "call_at": 1,
 }
 
-_SYNC_LOCK_TYPES = frozenset({
-    "threading.Lock", "threading.RLock", "threading.Semaphore",
-    "threading.BoundedSemaphore", "threading.Condition",
-})
-
-
-def _module_of(graph: ProgramGraph, path: str) -> str:
-    for mod in graph.modules.values():
-        if mod.path == path:
-            return mod.name
-    return Path(path).stem
-
 
 def _excluded(module: str, prefixes: Iterable[str]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
-def _finding(rule_id: str, fn: FunctionInfo, node: ast.AST, message: str,
-             hint: str | None = None) -> Finding:
-    severity, _rationale, default_hint = DEEP_RULE_DOCS[rule_id]
+def _finding(rule_id: str, fn: FunctionInfo, node: ast.AST, message: str) -> Finding:
+    rule = DEEP_RULES[rule_id]
     return Finding(
         rule_id=rule_id,
-        severity=severity,
+        severity=rule.severity,
         path=fn.path,
         line=getattr(node, "lineno", fn.node.lineno),
         col=getattr(node, "col_offset", 0),
         message=message,
-        hint=hint if hint is not None else default_hint,
+        hint=rule.hint,
     )
 
 
 def _short(qualname: str) -> str:
     return qualname.rsplit(".", 1)[-1]
-
-
-# --------------------------------------------------------------------------
-# ownership classification
-# --------------------------------------------------------------------------
-
-def _threaded_workers(graph: ProgramGraph) -> set[str]:
-    """Classes that own a ``threading.Thread`` attribute (per their mro),
-    plus the base classes a reference to one may be typed as.
-
-    A front that holds its workers as ``list[Base]`` reaches live
-    threaded state through ``Base``-typed expressions just the same, so
-    a program base of a threaded worker counts as a worker type too —
-    unless a front (a class holding workers) also descends from it,
-    which makes it plumbing shared by both sides (``EffectBackend``),
-    not a worker type.
-    """
-    threaded: set[str] = set()
-    for qual in graph.classes:
-        for base in graph.mro(qual):
-            info = graph.classes.get(base)
-            if info is None:
-                continue
-            if any(ref.base == "threading.Thread"
-                   for ref in info.attr_types.values()):
-                threaded.add(qual)
-                break
-    bases = {
-        base for worker in threaded for base in graph.mro(worker)
-        if base in graph.classes
-    } - threaded
-    fronts = _front_classes(graph, threaded | bases)
-    return threaded | {
-        base for base in bases
-        if not any(sub in fronts for sub in graph.subclasses(base))
-    }
-
-
-def _worker_type_of(ref: TypeRef | None, workers: set[str]) -> str | None:
-    """The worker class a typed expression denotes, if any."""
-    if ref is None:
-        return None
-    if ref.base in workers:
-        return ref.base
-    if ref.elem is not None and ref.elem in workers:
-        return None  # the container itself, not a worker instance
-    return None
-
-
-def _is_protected(graph: ProgramGraph, ref: TypeRef | None) -> bool:
-    """Mutable-by-classification: program classes and known containers."""
-    if ref is None:
-        return False
-    if ref.base in _SAFE_TYPES:
-        return False
-    return ref.base in graph.classes or ref.base in _MUTABLE_TYPES
-
-
-# --------------------------------------------------------------------------
-# SHARD001: front-side access to shard-owned state
-# --------------------------------------------------------------------------
-
-def _check_shard001(graph: ProgramGraph, workers: set[str]) -> list[Finding]:
-    findings: list[Finding] = []
-    for qual in sorted(graph.functions):
-        fn = graph.functions[qual]
-        if fn.cls is not None and any(c in workers for c in graph.mro(fn.cls)):
-            continue  # the worker touching itself is ownership, not escape
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Attribute):
-                continue
-            ref = graph.expr_type(fn, node.value)
-            worker_cls = _worker_type_of(ref, workers)
-            if worker_cls is None:
-                continue
-            attr = node.attr
-            method = graph.find_method(worker_cls, attr)
-            if method is not None:
-                if attr in SANCTIONED_WORKER_METHODS:
-                    continue
-                findings.append(_finding(
-                    "SHARD001", fn, node,
-                    f"{fn.qualname} calls shard method "
-                    f"`{_short(worker_cls)}.{attr}` cross-thread (only "
-                    f"{'/'.join(sorted(SANCTIONED_WORKER_METHODS))} are safe)",
-                ))
-                continue
-            attr_ref = graph.class_attr_type(worker_cls, attr)
-            if attr_ref is None or not _is_protected(graph, attr_ref):
-                continue
-            findings.append(_finding(
-                "SHARD001", fn, node,
-                f"{fn.qualname} reaches shard-owned mutable state "
-                f"`{_short(worker_cls)}.{attr}` (type {_short(attr_ref.base)}) "
-                f"from outside the worker's loop",
-            ))
-    return findings
-
-
-# --------------------------------------------------------------------------
-# SHARD002: mutable state escaping through a mailbox post
-# --------------------------------------------------------------------------
-
-def _post_args(call: ast.Call) -> Iterable[ast.expr]:
-    for arg in call.args:
-        if isinstance(arg, (ast.Tuple, ast.List, ast.Set)):
-            yield from arg.elts
-        else:
-            yield arg
-
-
-def _check_shard002(graph: ProgramGraph, workers: set[str]) -> list[Finding]:
-    """Flag ``self.<mutable attr>`` handed to a mailbox post.
-
-    Deliberately provenance-conservative: only attribute chains rooted
-    at ``self`` are flagged — those provably alias long-lived state of
-    the posting object; locals and parameters may be fresh copies.
-    """
-    findings: list[Finding] = []
-    for qual in sorted(graph.functions):
-        fn = graph.functions[qual]
-        if fn.cls is None:
-            continue
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in ("post", "_post")):
-                continue
-            for arg in _post_args(node):
-                if not (isinstance(arg, ast.Attribute)
-                        and isinstance(arg.value, ast.Name)
-                        and arg.value.id == "self"):
-                    continue
-                ref = graph.class_attr_type(fn.cls, arg.attr)
-                if ref is None or not _is_protected(graph, ref):
-                    continue
-                findings.append(_finding(
-                    "SHARD002", fn, arg,
-                    f"{fn.qualname} posts live mutable state `self.{arg.attr}` "
-                    f"(type {_short(ref.base)}) through a mailbox",
-                ))
-    return findings
-
-
-# --------------------------------------------------------------------------
-# SHARD003: worker code touching the front outside the bridges
-# --------------------------------------------------------------------------
-
-def _bridge_lambdas(fn_node: ast.AST) -> set[ast.Lambda]:
-    """Lambdas handed to a front bridge: they run on the front loop."""
-    out: set[ast.Lambda] = set()
-    for node in ast.walk(fn_node):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in FRONT_BRIDGES):
-            for arg in node.args:
-                if isinstance(arg, ast.Lambda):
-                    out.add(arg)
-    return out
-
-
-def _walk_outside(root: ast.AST, skip: set[ast.Lambda]) -> Iterable[ast.AST]:
-    stack: list[ast.AST] = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Lambda) and node in skip:
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _front_classes(graph: ProgramGraph, workers: set[str]) -> set[str]:
-    fronts: set[str] = set()
-    for qual in graph.classes:
-        for base in graph.mro(qual):
-            info = graph.classes.get(base)
-            if info is None:
-                continue
-            for ref in info.attr_types.values():
-                if ref.base in workers or (ref.elem in workers
-                                           if ref.elem else False):
-                    fronts.add(qual)
-    return fronts
-
-
-def _check_shard003(graph: ProgramGraph, workers: set[str]) -> list[Finding]:
-    fronts = _front_classes(graph, workers)
-    findings: list[Finding] = []
-    for qual in sorted(graph.functions):
-        fn = graph.functions[qual]
-        if fn.cls is None or fn.cls not in workers:
-            continue
-        skip = _bridge_lambdas(fn.node)
-        for node in _walk_outside(fn.node, skip):
-            if not isinstance(node, ast.Attribute):
-                continue
-            ref = graph.expr_type(fn, node.value)
-            if ref is None or ref.base not in fronts:
-                continue
-            if node.attr in FRONT_BRIDGES:
-                continue
-            findings.append(_finding(
-                "SHARD003", fn, node,
-                f"{fn.qualname} touches front state "
-                f"`{_short(ref.base)}.{node.attr}` from the shard loop "
-                f"without going through call_front",
-            ))
-    return findings
 
 
 # --------------------------------------------------------------------------
@@ -582,179 +249,6 @@ def _check_block002(graph: ProgramGraph) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# LOCK002/003: locks under concurrency
-# --------------------------------------------------------------------------
-
-def _lock_key(graph: ProgramGraph, fn: FunctionInfo, expr: ast.expr) -> str | None:
-    """A stable identity for a lock acquisition site, or None."""
-    node = expr
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "acquire":
-            node = func.value
-        else:
-            return None
-    ref = graph.expr_type(fn, node)
-    text = ast.unparse(node)
-    if ref is not None and ref.base in _SYNC_LOCK_TYPES:
-        return text
-    lowered = text.lower()
-    if lowered.endswith(("lock", "mutex")) or "_lock" in lowered:
-        return text
-    return None
-
-
-def _locktable_key(graph: ProgramGraph, fn: FunctionInfo, call: ast.Call) -> str | None:
-    """Constant-id ``LockTable.acquire`` sites (core/locks.py)."""
-    func = call.func
-    if not (isinstance(func, ast.Attribute) and func.attr == "acquire"):
-        return None
-    ref = graph.expr_type(fn, func.value)
-    if ref is None or not ref.base.endswith("LockTable"):
-        return None
-    for arg in call.args:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return f"locktable:{arg.value}"
-    return None
-
-
-def _with_acquisitions(
-    graph: ProgramGraph, fn: FunctionInfo
-) -> list[tuple[str, ast.AST, tuple[str, ...], bool]]:
-    """(lock key, site, locks held at entry, body awaits) per with-site."""
-    out: list[tuple[str, ast.AST, tuple[str, ...], bool]] = []
-
-    def visit(node: ast.AST, held: tuple[str, ...]) -> None:
-        if isinstance(node, ast.With):
-            keys = []
-            for item in node.items:
-                key = _lock_key(graph, fn, item.context_expr)
-                if key is None and isinstance(item.context_expr, ast.Call):
-                    key = _locktable_key(graph, fn, item.context_expr)
-                if key is not None:
-                    keys.append(key)
-            awaits = any(isinstance(sub, ast.Await) for sub in ast.walk(node))
-            inner = held
-            for key in keys:
-                out.append((key, node, inner, awaits))
-                inner = inner + (key,)
-            for stmt in node.body:
-                visit(stmt, inner)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return  # nested defs run later, under their own lock stack
-        for child in ast.iter_child_nodes(node):
-            visit(child, held)
-
-    for stmt in fn.node.body:
-        visit(stmt, ())
-    return out
-
-
-def _check_lock002(graph: ProgramGraph) -> list[Finding]:
-    findings: list[Finding] = []
-    for qual in sorted(graph.functions):
-        fn = graph.functions[qual]
-        if not fn.is_async:
-            continue
-        for key, node, _held, awaits in _with_acquisitions(graph, fn):
-            if awaits:
-                findings.append(_finding(
-                    "LOCK002", fn, node,
-                    f"coroutine {fn.qualname} awaits while holding "
-                    f"synchronous lock `{key}`",
-                ))
-    return findings
-
-
-def lock_order_cycles(edges: Iterable[tuple[str, str]]) -> list[list[str]]:
-    """Cycles in the lock-order graph, each as the ordered key list.
-
-    Pure over the edge list (exercised directly by the hypothesis
-    property test): returns a non-empty list iff the directed graph has
-    a cycle, and every returned list is a genuine cycle — consecutive
-    elements (wrapping around) are all edges.  Iterative DFS back-edge
-    detection; the path suffix from the back edge's target is the cycle.
-    """
-    adj: dict[str, list[str]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, [])
-    for key in adj:
-        adj[key] = sorted(set(adj[key]))
-
-    ON_PATH, DONE = 1, 2
-    state: dict[str, int] = {}
-    cycles: list[list[str]] = []
-    for root in sorted(adj):
-        if root in state:
-            continue
-        stack: list[tuple[str, Iterable[str]]] = [(root, iter(adj[root]))]
-        path = [root]
-        state[root] = ON_PATH
-        while stack:
-            node, successors = stack[-1]
-            descended = False
-            for nxt in successors:
-                if state.get(nxt) == ON_PATH:
-                    cycles.append(path[path.index(nxt):])
-                elif nxt not in state:
-                    state[nxt] = ON_PATH
-                    stack.append((nxt, iter(adj[nxt])))
-                    path.append(nxt)
-                    descended = True
-                    break
-            if not descended:
-                stack.pop()
-                path.pop()
-                state[node] = DONE
-    return cycles
-
-
-def _check_lock003(graph: ProgramGraph) -> list[Finding]:
-    edges: dict[tuple[str, str], tuple[FunctionInfo, ast.AST]] = {}
-    func_locks: dict[str, set[str]] = {}
-    acq_cache: dict[str, list] = {}
-    for qual in sorted(graph.functions):
-        fn = graph.functions[qual]
-        acqs = _with_acquisitions(graph, fn)
-        acq_cache[qual] = acqs
-        func_locks[qual] = {key for key, _n, _h, _a in acqs}
-    for qual in sorted(graph.functions):
-        fn = graph.functions[qual]
-        for key, node, held, _awaits in acq_cache[qual]:
-            for outer in held:
-                if outer != key:
-                    edges.setdefault((outer, key), (fn, node))
-        # one-level interprocedural: calling g while holding L orders L
-        # before every lock g acquires directly
-        for site in graph.callees(qual):
-            if not site.in_program or site.callee not in func_locks:
-                continue
-            for key, with_node, held, _awaits in acq_cache[qual]:
-                if not _node_contains(with_node, site.node):
-                    continue
-                for inner in sorted(func_locks[site.callee]):
-                    if inner != key:
-                        edges.setdefault((key, inner), (fn, site.node))
-
-    findings: list[Finding] = []
-    cycles = lock_order_cycles(sorted(edges))
-    for cycle in cycles:
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        located = next((edges[p] for p in pairs if p in edges), None)
-        if located is None:
-            continue
-        fn, node = located
-        findings.append(_finding(
-            "LOCK003", fn, node,
-            f"lock-order cycle {' -> '.join(cycle + [cycle[0]])} "
-            f"(one edge acquired in {fn.qualname})",
-        ))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # SCHED001: shared-state mutation outside the scheduler commit path
 # --------------------------------------------------------------------------
 
@@ -801,10 +295,6 @@ def _check_sched001(graph: ProgramGraph) -> list[Finding]:
                 f"{node.func.attr}` outside the scheduler commit path",
             ))
     return findings
-
-
-def _node_contains(outer: ast.AST, inner: ast.AST) -> bool:
-    return any(sub is inner for sub in ast.walk(outer))
 
 
 # --------------------------------------------------------------------------
@@ -864,20 +354,61 @@ def _check_shard004(graph: ProgramGraph) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# driver
+# the rule table and the driver
 # --------------------------------------------------------------------------
 
-_CHECKS = {
-    "SHARD001": lambda g, w: _check_shard001(g, w),
-    "SHARD002": lambda g, w: _check_shard002(g, w),
-    "SHARD003": lambda g, w: _check_shard003(g, w),
-    "SHARD004": lambda g, w: _check_shard004(g),
-    "SCHED001": lambda g, w: _check_sched001(g),
-    "BLOCK001": lambda g, w: _check_block001(g),
-    "BLOCK002": lambda g, w: _check_block002(g),
-    "LOCK002": lambda g, w: _check_lock002(g),
-    "LOCK003": lambda g, w: _check_lock003(g),
+class DeepRule(NamedTuple):
+    """One whole-program rule: how it reports, and the check that runs it."""
+
+    severity: Severity
+    rationale: str
+    hint: str
+    check: Callable[[ProgramGraph], list[Finding]]
+
+
+DEEP_RULES: dict[str, DeepRule] = {
+    "SHARD004": DeepRule(
+        Severity.ERROR,
+        "GroupRuntime state (or the ServerCore runtime table behind it) "
+        "is accessed outside the owning worker's lease — under live "
+        "migration a group's runtime may move between shards at any "
+        "item boundary, so only code running on the leased worker's "
+        "loop may touch it",
+        "read the immutable owned_groups/recovered_groups snapshots, "
+        "sample DispatchStats, or route the work through the mailbox",
+        _check_shard004,
+    ),
+    "SCHED001": DeepRule(
+        Severity.ERROR,
+        "shared group state (SharedState/SharedObject) is mutated "
+        "outside the scheduler commit path — under optimistic parallel "
+        "execution any such site can interleave with in-flight "
+        "speculation and corrupt the version checks",
+        "mutate through GroupRuntime.apply_and_deliver/reduce (the "
+        "serial commit points) or baseline the site with a "
+        "justification (client-side mirrors, recovery replay)",
+        _check_sched001,
+    ),
+    "BLOCK001": DeepRule(
+        Severity.ERROR,
+        "a blocking call (sleep, fsync, sync file/socket I/O, "
+        "subprocess) is written directly in an async def or an "
+        "event-loop callback",
+        "await the async equivalent or move the call to an executor",
+        _check_block001,
+    ),
+    "BLOCK002": DeepRule(
+        Severity.ERROR,
+        "a blocking call is transitively reachable from a coroutine "
+        "or callback running on an event loop (including through effect "
+        "dispatch)",
+        "break the chain with run_in_executor or baseline it with a "
+        "justification (e.g. shutdown paths, startup recovery)",
+        _check_block002,
+    ),
 }
+
+ALL_DEEP_RULES: tuple[str, ...] = tuple(sorted(DEEP_RULES))
 
 
 def check_graph(
@@ -885,21 +416,24 @@ def check_graph(
     rules: Iterable[str] | None = None,
     per_rule_exclude: dict[str, tuple[str, ...]] | None = None,
 ) -> list[Finding]:
-    """Run the deepcheck rules over *graph*; noqa-filtered and sorted."""
+    """Run the deepcheck rules over *graph*; noqa-filtered and sorted.
+
+    Raises :class:`ValueError` naming every id in *rules* that is not a
+    deepcheck rule, rather than quietly running fewer rules than asked.
+    """
     rule_ids = tuple(rules) if rules is not None else ALL_DEEP_RULES
+    unknown = sorted(set(rule_ids) - set(DEEP_RULES))
+    if unknown:
+        raise ValueError(f"unknown deepcheck rule id(s): {', '.join(unknown)}")
     per_rule_exclude = per_rule_exclude or {}
-    workers = _threaded_workers(graph)
     module_by_path = {mod.path: mod.name for mod in graph.modules.values()}
     lines_by_path = {
         mod.path: mod.source.splitlines() for mod in graph.modules.values()
     }
     findings: list[Finding] = []
     for rule_id in sorted(rule_ids):
-        check = _CHECKS.get(rule_id)
-        if check is None:
-            continue
         excludes = per_rule_exclude.get(rule_id, ())
-        for finding in check(graph, workers):
+        for finding in DEEP_RULES[rule_id].check(graph):
             module = module_by_path.get(finding.path, "")
             if _excluded(module, excludes):
                 continue

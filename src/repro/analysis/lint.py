@@ -25,7 +25,7 @@ import subprocess
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from repro.analysis.deepcheck import ALL_DEEP_RULES, DEEP_RULE_DOCS
+from repro.analysis.deepcheck import ALL_DEEP_RULES, DEEP_RULES
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.rules import (
     DEFAULT_EXCLUDES,
@@ -49,7 +49,7 @@ ALL_RULES: tuple[str, ...] = tuple(sorted(RULE_DOCS))
 
 #: Every id the config (per-rule-exclude, noqa) may legally name: the
 #: per-file rules plus the whole-program deepcheck rules.
-KNOWN_RULES: frozenset[str] = frozenset(RULE_DOCS) | frozenset(DEEP_RULE_DOCS)
+KNOWN_RULES: frozenset[str] = frozenset(RULE_DOCS) | frozenset(DEEP_RULES)
 
 
 @dataclass
@@ -64,7 +64,7 @@ class LintConfig:
     per_rule_exclude: dict[str, tuple[str, ...]] = dc_field(
         default_factory=lambda: dict(DEFAULT_EXCLUDES)
     )
-    #: Whole-program rules ``repro deepcheck`` runs (SHARD/BLOCK/LOCK).
+    #: Whole-program rules ``repro deepcheck`` runs (SHARD/SCHED/BLOCK).
     deepcheck_rules: tuple[str, ...] = ALL_DEEP_RULES
     #: Committed known-findings file ``repro deepcheck`` diffs against.
     deepcheck_baseline: str = "deepcheck-baseline.json"
@@ -74,7 +74,9 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
     """Build a :class:`LintConfig` from ``[tool.corona-lint]``.
 
     Missing file or section (or a Python without ``tomllib``) yields the
-    built-in defaults, so the linter always runs.
+    built-in defaults, so the linter always runs.  A rule id the table
+    names that no checker defines raises :class:`ValueError` naming it:
+    a typo or a retired id would otherwise turn nothing on, silently.
     """
     config = LintConfig()
     if pyproject is None or not pyproject.is_file():
@@ -89,21 +91,27 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
         )
     except tomllib.TOMLDecodeError:
         return config
+    per_rule_exclude = table.get("per-rule-exclude", {})
+    unknown = [
+        *(rule for rule in table.get("rules", ()) if rule not in RULE_DOCS),
+        *(rule for rule in table.get("deepcheck-rules", ())
+          if rule not in DEEP_RULES),
+        *(rule for rule in per_rule_exclude if rule not in KNOWN_RULES),
+    ]
+    if unknown:
+        raise ValueError(
+            f"unknown rule id(s) in {pyproject}: {', '.join(unknown)}"
+        )
     if "rules" in table:
-        config.rules = tuple(
-            rule for rule in table["rules"] if rule in RULE_DOCS
-        )
+        config.rules = tuple(table["rules"])
     if "deepcheck-rules" in table:
-        config.deepcheck_rules = tuple(
-            rule for rule in table["deepcheck-rules"] if rule in DEEP_RULE_DOCS
-        )
+        config.deepcheck_rules = tuple(table["deepcheck-rules"])
     if "deepcheck-baseline" in table:
         config.deepcheck_baseline = str(table["deepcheck-baseline"])
     if "exclude" in table:
         config.exclude_paths = tuple(table["exclude"])
-    for rule_id, prefixes in table.get("per-rule-exclude", {}).items():
-        if rule_id in KNOWN_RULES:
-            config.per_rule_exclude[rule_id] = tuple(prefixes)
+    for rule_id, prefixes in per_rule_exclude.items():
+        config.per_rule_exclude[rule_id] = tuple(prefixes)
     return config
 
 

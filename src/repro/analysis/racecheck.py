@@ -1,8 +1,8 @@
 """Happens-before race checking over instrumented sharded-host traces.
 
-The static shard-ownership rules (SHARD001–003) prove that no code path
-*reaches* shard state from the wrong loop; this module is the dynamic
-counterpart.  The sharded hosts optionally carry a :class:`RaceRecorder`
+The static lease rule (deepcheck's SHARD004) proves that only code
+running a shard worker's item protocol *reaches* a group's runtime; this
+module is the dynamic counterpart.  The sharded hosts optionally carry a :class:`RaceRecorder`
 that logs four event kinds while a workload runs:
 
 * ``send`` / ``recv`` — a mailbox hop (front → shard post, shard →

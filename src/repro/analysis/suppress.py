@@ -1,12 +1,12 @@
 """Uniform per-line suppression for every analysis family.
 
 Two comment spellings silence findings on their line, for all rule
-families (DET/NET/LOCK/WIRE/PERF/EFF and the deepcheck SHARD/BLOCK/LOCK
+families (DET/NET/LOCK/WIRE/PERF/EFF and the deepcheck SHARD/SCHED/BLOCK
 rules) alike:
 
-* ``# corona: noqa`` / ``# corona: noqa(DET001, SHARD002)`` — the
+* ``# corona: noqa`` / ``# corona: noqa(DET001, BLOCK002)`` — the
   project-native form;
-* ``# noqa`` / ``# noqa: DET001,SHARD002`` — the standard form most
+* ``# noqa`` / ``# noqa: DET001,BLOCK002`` — the standard form most
   editors and reviewers already know.
 
 A bare suppression (either spelling, no rule list) silences every rule

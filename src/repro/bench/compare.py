@@ -8,9 +8,9 @@ root.  A leaf that drifts by more than the relative tolerance (default
 effect-interpreter/runtime refactors do not shift the simulated cost
 model.
 
-Only deterministic (simulated-time) benchmarks belong here: fig3,
-table1, shard_scaling, backpressure, and hot_group produce identical
-payloads on every machine, so any drift is a code change, not noise.
+Only deterministic (simulated-time) benchmarks belong here: the ones
+:data:`GATED_BENCHMARKS` names produce identical payloads on every
+machine, so any drift is a code change, not noise.
 Wall-clock microbenchmarks (wire_codec) are archived but not gated.
 """
 
@@ -38,7 +38,7 @@ PROVENANCE_KEYS = frozenset(
 #: Benchmarks deterministic enough to gate (virtual-time simulations).
 GATED_BENCHMARKS = (
     "fig3", "table1", "shard_scaling", "backpressure", "hot_group",
-    "migration", "state_transfer",
+    "migration", "state_transfer", "table2",
 )
 
 

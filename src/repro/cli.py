@@ -193,7 +193,11 @@ def lint_main(argv: list[str] | None = None) -> int:
 
     from repro.analysis.rules import RULE_DOCS
 
-    config = load_config(None if args.no_config else Path(args.config))
+    try:
+        config = load_config(None if args.no_config else Path(args.config))
+    except ValueError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
     if args.rules:
         config.rules = tuple(
             rule.strip() for rule in args.rules.split(",") if rule.strip()
@@ -232,13 +236,14 @@ def lint_main(argv: list[str] | None = None) -> int:
 
 def deepcheck_main(argv: list[str] | None = None) -> int:
     """Entry point of ``repro deepcheck``: whole-program concurrency
-    analysis (shard ownership, blocking reachability, lock order)."""
+    analysis (lease ownership, commit path, blocking reachability)."""
     parser = argparse.ArgumentParser(
         prog="repro deepcheck",
         description="Cross-module concurrency analysis over the program "
-        "graph: shard-ownership dataflow (SHARD001-003), blocking-call "
-        "reachability from async code (BLOCK001-002), and lock-discipline "
-        "checks (LOCK002-003).  Known findings live in a committed "
+        "graph: group-runtime access outside the owning shard's lease "
+        "(SHARD004), shared-state mutation outside the scheduler commit "
+        "path (SCHED001), and blocking-call reachability from event-loop "
+        "code (BLOCK001-002).  Known findings live in a committed "
         "baseline; only NEW findings fail the run.",
     )
     parser.add_argument(
@@ -275,7 +280,7 @@ def deepcheck_main(argv: list[str] | None = None) -> int:
     from pathlib import Path
 
     from repro.analysis.deepcheck import (
-        DEEP_RULE_DOCS,
+        DEEP_RULES,
         baseline_payload,
         deepcheck_paths,
         load_baseline,
@@ -285,13 +290,17 @@ def deepcheck_main(argv: list[str] | None = None) -> int:
     from repro.analysis.findings import findings_to_json, format_findings
     from repro.analysis.lint import load_config
 
-    config = load_config(Path(args.config))
+    try:
+        config = load_config(Path(args.config))
+    except ValueError as exc:
+        print(f"repro deepcheck: {exc}", file=sys.stderr)
+        return 2
     rules = config.deepcheck_rules
     if args.rules:
         rules = tuple(
             rule.strip() for rule in args.rules.split(",") if rule.strip()
         )
-        unknown = [r for r in rules if r not in DEEP_RULE_DOCS]
+        unknown = [r for r in rules if r not in DEEP_RULES]
         if unknown:
             print(f"repro deepcheck: unknown rule id(s): {', '.join(unknown)}",
                   file=sys.stderr)
@@ -478,6 +487,12 @@ def tracecheck_main(argv: list[str] | None = None) -> int:
 
 def benchcheck_main(argv: list[str] | None = None) -> int:
     """Entry point of ``repro benchcheck``: the benchmark regression gate."""
+    from repro.bench.compare import (
+        GATED_BENCHMARKS,
+        check_baseline,
+        default_baseline_dir,
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro benchcheck",
         description="Compare freshly generated BENCH_<name>.json results "
@@ -486,7 +501,7 @@ def benchcheck_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "names", nargs="*", default=None, metavar="NAME",
         help="benchmarks to gate (default: the deterministic set, "
-        "fig3 and table1)",
+        f"{', '.join(GATED_BENCHMARKS)})",
     )
     parser.add_argument(
         "--baseline-dir", default=None, metavar="DIR",
@@ -504,12 +519,6 @@ def benchcheck_main(argv: list[str] | None = None) -> int:
 
     import os
     from pathlib import Path
-
-    from repro.bench.compare import (
-        GATED_BENCHMARKS,
-        check_baseline,
-        default_baseline_dir,
-    )
 
     fresh = args.fresh_dir or os.environ.get("CORONA_BENCH_DIR")
     if not fresh:

@@ -623,7 +623,8 @@ class ShardWorkerBase(HostBackend):
         self._host = host
         self.index = index
         # handed in by the builder rather than read off the host, so the
-        # worker never reaches into front-owned state (SHARD003)
+        # worker never reaches into front-owned state; its hops to the
+        # front go through the recorded relays racecheck orders
         self._recorder = race_recorder
         #: Race-trace lane name (matches the recorder middleware lane).
         self._race_lane = f"shard{index}"
@@ -679,7 +680,7 @@ class ShardWorkerBase(HostBackend):
     def stop(self) -> None:
         """Stop serving and close this shard's own store — the worker
         owns its storage handle end to end; the front never touches it
-        (SHARD001)."""
+        (racecheck flags an unordered WAL access from any other lane)."""
         raise NotImplementedError
 
     def _unwrap(self, item: Any) -> tuple:

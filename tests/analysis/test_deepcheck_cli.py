@@ -74,9 +74,31 @@ class TestDeepcheckCli:
     def test_rule_selection_and_unknown_rule(self, tmp_path, capsys):
         root = make_tree(tmp_path)
         assert deepcheck_main(
-            [str(root), "--no-baseline", "--rules", "LOCK002"]
+            [str(root), "--no-baseline", "--rules", "SHARD004"]
         ) == 0
+        assert deepcheck_main(
+            [str(root), "--no-baseline", "--rules", "BLOCK001"]
+        ) == 1
         assert deepcheck_main([str(root), "--rules", "NOPE999"]) == 2
+
+    def test_unknown_rule_ids_in_config_are_rejected(self, tmp_path, capsys):
+        # a typo (DET01) or a retired id (SHARD001) in pyproject would
+        # otherwise turn nothing on and report nothing
+        root = make_tree(tmp_path)
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(
+            "[tool.corona-lint]\n"
+            'rules = ["DET001", "DET01"]\n'
+            'deepcheck-rules = ["BLOCK001", "SHARD001"]\n'
+        )
+        assert deepcheck_main(
+            [str(root), "--no-baseline", "--config", str(pyproject)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "DET01" in err and "SHARD001" in err
+        assert lint_main([str(root), "--config", str(pyproject)]) == 2
+        err = capsys.readouterr().err
+        assert "DET01" in err and "SHARD001" in err
 
     def test_missing_root_rejected(self, tmp_path):
         assert deepcheck_main([str(tmp_path / "nowhere")]) == 2

@@ -1,14 +1,12 @@
-"""Fire/silent pairs for every whole-program deepcheck rule, the
-hypothesis property for lock-order cycle detection, baseline mechanics,
-and the repo-level zero-new-findings gate."""
+"""Fire/silent pairs for the whole-program deepcheck rules, baseline
+mechanics, and the repo-level zero-new-findings gate (SHARD004 lives in
+test_migration_analysis.py)."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
 from repro.analysis.deepcheck import (
     ALL_DEEP_RULES,
@@ -17,32 +15,10 @@ from repro.analysis.deepcheck import (
     deepcheck_paths,
     fingerprint,
     load_baseline,
-    lock_order_cycles,
     split_baselined,
 )
 from repro.analysis.lint import load_config
 from repro.analysis.program import ProgramGraph
-
-# The worker/front scaffold the SHARD rules classify: Worker owns a
-# threading.Thread (-> shard worker), Front holds a list of Workers.
-SHARD_SCAFFOLD = """
-import threading
-
-class Core:
-    def __init__(self):
-        self.items = []
-
-class Worker:
-    def __init__(self):
-        self.core = Core()
-        self.count = 0
-        self._thread = threading.Thread()
-    def post(self, item): pass
-    def start(self): pass
-    def stop(self): pass
-    def poke(self): pass
-"""
-
 
 def deep(rules=None, **modules) -> list:
     graph = ProgramGraph.from_sources({
@@ -54,222 +30,6 @@ def deep(rules=None, **modules) -> list:
 
 def rule_ids(findings) -> list[str]:
     return [f.rule_id for f in findings]
-
-
-class TestShard001:
-    def test_fires_on_front_reading_worker_core(self):
-        findings = deep(
-            rules=("SHARD001",),
-            repro__w=SHARD_SCAFFOLD,
-            repro__front="""
-from repro.w import Worker
-
-class Front:
-    workers: list[Worker]
-    def snoop(self):
-        return self.workers[0].core
-""",
-        )
-        assert rule_ids(findings) == ["SHARD001"]
-        assert "Worker.core" in findings[0].message
-
-    def test_fires_on_cross_thread_method_call(self):
-        findings = deep(
-            rules=("SHARD001",),
-            repro__w=SHARD_SCAFFOLD,
-            repro__front="""
-from repro.w import Worker
-
-class Front:
-    workers: list[Worker]
-    def jab(self):
-        self.workers[0].poke()
-""",
-        )
-        assert rule_ids(findings) == ["SHARD001"]
-        assert "poke" in findings[0].message
-
-    def test_silent_on_mailbox_and_lifecycle_surface(self):
-        findings = deep(
-            rules=("SHARD001",),
-            repro__w=SHARD_SCAFFOLD,
-            repro__front="""
-from repro.w import Worker
-
-class Front:
-    workers: list[Worker]
-    def drive(self, item):
-        self.workers[0].post(item)
-        self.workers[0].start()
-        self.workers[0].stop()
-""",
-        )
-        assert findings == []
-
-    def test_silent_on_immutable_attribute_read(self):
-        findings = deep(
-            rules=("SHARD001",),
-            repro__w=SHARD_SCAFFOLD,
-            repro__front="""
-from repro.w import Worker
-
-class Front:
-    workers: list[Worker]
-    def peek(self):
-        return self.workers[0].count
-""",
-        )
-        assert findings == []
-
-    BASE_TYPED = """
-import threading
-
-class Core:
-    def __init__(self):
-        self.items = []
-
-class Base:
-    def __init__(self):
-        self.core = Core()
-
-class Threaded(Base):
-    def __init__(self):
-        self._thread = threading.Thread()
-"""
-
-    def test_fires_through_a_base_typed_worker_list(self):
-        # a backend-free front holds its workers as list[Base]; an
-        # element may be the threaded subclass all the same
-        findings = deep(
-            rules=("SHARD001",),
-            repro__w=self.BASE_TYPED + """
-class Front:
-    workers: list[Base]
-    def snoop(self):
-        return self.workers[0].core
-""",
-        )
-        assert rule_ids(findings) == ["SHARD001"]
-        assert "Base.core" in findings[0].message
-
-    def test_silent_on_a_base_the_front_shares_with_its_workers(self):
-        # plumbing both sides inherit is not a worker type: a reference
-        # typed as it says nothing about which thread owns the object
-        findings = deep(
-            rules=("SHARD001",),
-            repro__w=self.BASE_TYPED + """
-class Front(Base):
-    workers: list[Threaded]
-
-def peek(backend: Base):
-    return backend.core
-""",
-        )
-        assert findings == []
-
-    def test_silent_inside_the_worker_itself(self):
-        findings = deep(
-            rules=("SHARD001",),
-            repro__w=SHARD_SCAFFOLD + """
-class Sub(Worker):
-    def churn(self):
-        return self.core.items
-""",
-        )
-        assert findings == []
-
-
-class TestShard002:
-    def test_fires_on_posting_live_self_state(self):
-        findings = deep(
-            rules=("SHARD002",),
-            repro__w=SHARD_SCAFFOLD,
-            repro__front="""
-from repro.w import Worker
-
-class Front:
-    def __init__(self):
-        self.pending = []
-        self.worker = Worker()
-    def flush(self):
-        self.worker.post(self.pending)
-""",
-        )
-        assert rule_ids(findings) == ["SHARD002"]
-        assert "self.pending" in findings[0].message
-
-    def test_fires_inside_tuple_literal(self):
-        findings = deep(
-            rules=("SHARD002",),
-            repro__w=SHARD_SCAFFOLD,
-            repro__front="""
-from repro.w import Worker
-
-class Front:
-    def __init__(self):
-        self.pending = []
-        self.worker = Worker()
-    def flush(self):
-        self.worker.post(("batch", self.pending))
-""",
-        )
-        assert rule_ids(findings) == ["SHARD002"]
-
-    def test_silent_on_copies_and_immutables(self):
-        findings = deep(
-            rules=("SHARD002",),
-            repro__w=SHARD_SCAFFOLD,
-            repro__front="""
-from repro.w import Worker
-
-class Front:
-    def __init__(self):
-        self.pending = []
-        self.name = "front"
-        self.worker = Worker()
-    def flush(self):
-        self.worker.post(tuple(self.pending))
-        self.worker.post(self.name)
-""",
-        )
-        assert findings == []
-
-
-class TestShard003:
-    FRONT_AND_WORKER = SHARD_SCAFFOLD + """
-class Front:
-    workers: list[Worker]
-    def __init__(self):
-        self.table = {}
-    def call_front(self, fn): pass
-
-class Hooked(Worker):
-    def __init__(self, host: Front):
-        self._host = host
-"""
-
-    def test_fires_on_direct_front_touch(self):
-        findings = deep(
-            rules=("SHARD003",),
-            repro__w=self.FRONT_AND_WORKER + """
-class Bad(Hooked):
-    def leak(self):
-        return self._host.table
-""",
-        )
-        assert rule_ids(findings) == ["SHARD003"]
-        assert "Front.table" in findings[0].message
-
-    def test_silent_through_call_front_closure(self):
-        findings = deep(
-            rules=("SHARD003",),
-            repro__w=self.FRONT_AND_WORKER + """
-class Good(Hooked):
-    def relay(self):
-        self._host.call_front(lambda: self._host.table.clear())
-""",
-        )
-        assert findings == []
 
 
 class TestBlock001:
@@ -444,145 +204,6 @@ class Host:
         assert findings == []
 
 
-class TestLock002:
-    def test_fires_on_await_under_sync_lock(self):
-        findings = deep(rules=("LOCK002",), repro__m="""
-import asyncio
-import threading
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-    async def bad(self):
-        with self._lock:
-            await asyncio.sleep(0)
-""")
-        assert rule_ids(findings) == ["LOCK002"]
-        assert "self._lock" in findings[0].message
-
-    def test_silent_when_await_is_outside_the_lock(self):
-        findings = deep(rules=("LOCK002",), repro__m="""
-import asyncio
-import threading
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-    async def good(self):
-        with self._lock:
-            x = 1
-        await asyncio.sleep(x)
-""")
-        assert findings == []
-
-
-class TestLock003:
-    def test_fires_on_opposite_acquisition_orders(self):
-        findings = deep(rules=("LOCK003",), repro__m="""
-import threading
-
-class C:
-    def __init__(self):
-        self.a_lock = threading.Lock()
-        self.b_lock = threading.Lock()
-    def f(self):
-        with self.a_lock:
-            with self.b_lock:
-                pass
-    def g(self):
-        with self.b_lock:
-            with self.a_lock:
-                pass
-""")
-        assert rule_ids(findings) == ["LOCK003"]
-        assert "lock-order cycle" in findings[0].message
-
-    def test_silent_on_consistent_order(self):
-        findings = deep(rules=("LOCK003",), repro__m="""
-import threading
-
-class C:
-    def __init__(self):
-        self.a_lock = threading.Lock()
-        self.b_lock = threading.Lock()
-    def f(self):
-        with self.a_lock:
-            with self.b_lock:
-                pass
-    def g(self):
-        with self.a_lock:
-            with self.b_lock:
-                pass
-""")
-        assert findings == []
-
-    def test_fires_across_one_call_level(self):
-        findings = deep(rules=("LOCK003",), repro__m="""
-import threading
-
-class C:
-    def __init__(self):
-        self.a_lock = threading.Lock()
-        self.b_lock = threading.Lock()
-    def f(self):
-        with self.a_lock:
-            self.grab_b()
-    def grab_b(self):
-        with self.b_lock:
-            pass
-    def g(self):
-        with self.b_lock:
-            with self.a_lock:
-                pass
-""")
-        assert rule_ids(findings) == ["LOCK003"]
-
-
-def _has_cycle_reference(edges: list[tuple[str, str]]) -> bool:
-    """Kahn topological sort: a graph is cyclic iff the sort is partial."""
-    nodes = {n for e in edges for n in e}
-    indeg = {n: 0 for n in nodes}
-    adj: dict[str, set[str]] = {n: set() for n in nodes}
-    for a, b in edges:
-        if b not in adj[a]:
-            adj[a].add(b)
-            indeg[b] += 1
-    queue = [n for n in nodes if indeg[n] == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for nxt in adj[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    return seen != len(nodes)
-
-
-class TestLockOrderCycles:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(
-        st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE")),
-        max_size=20,
-    ))
-    def test_matches_topological_sort_and_returns_real_cycles(self, edges):
-        edges = [(a, b) for a, b in edges if a != b]
-        cycles = lock_order_cycles(edges)
-        assert bool(cycles) == _has_cycle_reference(edges)
-        edge_set = set(edges)
-        for cycle in cycles:
-            assert len(cycle) >= 2
-            for pair in zip(cycle, cycle[1:] + cycle[:1]):
-                assert pair in edge_set
-
-    def test_self_loop_free_dag_is_clean(self):
-        assert lock_order_cycles([("A", "B"), ("B", "C"), ("A", "C")]) == []
-
-    def test_two_cycle_is_found(self):
-        cycles = lock_order_cycles([("A", "B"), ("B", "A")])
-        assert cycles and sorted(cycles[0]) == ["A", "B"]
-
-
 class TestSuppressionAndScoping:
     def test_noqa_silences_single_rule(self):
         findings = deep(
@@ -633,6 +254,11 @@ async def tick():
             graph, ("BLOCK001",), {"BLOCK001": ("repro.m",)}
         )
         assert silenced == []
+
+    def test_unknown_rule_id_is_an_error_not_a_no_op(self):
+        graph = ProgramGraph.from_sources({"repro/m.py": "x = 1\n"})
+        with pytest.raises(ValueError, match="LOCK9, NOPE1"):
+            check_graph(graph, ("BLOCK001", "NOPE1", "LOCK9"))
 
 
 class TestBaseline:

@@ -214,13 +214,13 @@ def snapshot(runtime: GroupRuntime):
 class TestUnjustifiedEntries:
     def test_flags_todo_and_empty_justifications_only(self):
         entries = [
-            {"rule": "SHARD001", "path": "a.py",
+            {"rule": "SHARD004", "path": "a.py",
              "justification": "TODO: justify this finding"},
-            {"rule": "SHARD002", "path": "b.py", "justification": "   "},
-            {"rule": "SHARD003", "path": "c.py"},
-            {"rule": "SHARD001", "path": "d.py",
+            {"rule": "BLOCK002", "path": "b.py", "justification": "   "},
+            {"rule": "SCHED001", "path": "c.py"},
+            {"rule": "SHARD004", "path": "d.py",
              "justification": "todo — lowercase counts too"},
-            {"rule": "SHARD001", "path": "e.py",
+            {"rule": "SHARD004", "path": "e.py",
              "justification": "monitoring-only read; GIL-atomic int"},
         ]
         flagged = unjustified_entries(entries)

@@ -200,7 +200,7 @@ class TestRepoGraph:
         graph = ProgramGraph.load(Path("src"))
         assert "repro.runtime.shard.ShardedHost" in graph.classes
         assert "repro.core.interpreter.EffectInterpreter" in graph.classes
-        # worker typing that the SHARD rules depend on
+        # worker typing that SHARD004's lease side depends on
         assert graph.class_attr_type(
             "repro.runtime.shard._ShardWorker", "_mailbox"
         ) == TypeRef("collections.deque")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.compare import (
     GATED_BENCHMARKS,
     check_baseline,
@@ -130,6 +132,12 @@ class TestBenchcheckCli:
                 "--fresh-dir", str(fresh_dir)]
         assert benchcheck_main(args) == 1
         assert benchcheck_main(args + ["--tolerance", "0.5"]) == 0
+
+    def test_help_names_the_whole_gated_set(self, capsys):
+        with pytest.raises(SystemExit):
+            benchcheck_main(["--help"])
+        out = capsys.readouterr().out
+        assert all(name in out for name in GATED_BENCHMARKS)
 
     def test_requires_fresh_dir(self, monkeypatch, capsys):
         monkeypatch.delenv("CORONA_BENCH_DIR", raising=False)
