@@ -19,10 +19,7 @@ from repro.bench.report import format_table
 
 
 def test_failover(benchmark, paper_report):
-    rows = benchmark.pedantic(
-        failover, kwargs={"suspicion_timeouts": (0.5, 1.0, 2.0)},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(failover, rounds=1, iterations=1)
     single = {r.suspicion_timeout: r for r in rows if r.crashed == 1}
     double = {r.suspicion_timeout: r for r in rows if r.crashed == 2}
 

@@ -12,19 +12,13 @@ Paper claims reproduced:
 
 import numpy as np
 
-from repro.bench.experiments import figure3
+from repro.bench.experiments import fig3
 from repro.bench.report import format_table
 from repro.bench.results import save_results
 
-CLIENT_COUNTS = (5, 10, 20, 30, 40, 50, 60)
 
-
-def test_figure3(benchmark, paper_report):
-    rows = benchmark.pedantic(
-        figure3,
-        kwargs={"client_counts": CLIENT_COUNTS, "probes": 40},
-        rounds=1, iterations=1,
-    )
+def test_fig3(benchmark, paper_report):
+    rows = benchmark.pedantic(fig3, rounds=1, iterations=1)
     # linearity: a straight-line fit should explain almost all variance
     ns = np.array([r.clients for r in rows], dtype=float)
     ys = np.array([r.stateful_ms for r in rows])

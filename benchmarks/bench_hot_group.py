@@ -19,13 +19,10 @@ Results land in ``BENCH_hot_group.json`` and are gated by
 ``repro benchcheck`` against the committed baseline.
 """
 
-from repro.bench.experiments import hot_group
+from repro.bench.experiments import EXPERIMENTS, hot_group
 from repro.bench.report import format_table
 from repro.bench.results import save_results
 from repro.storage.store import GroupStore
-
-CONFLICTS = (0, 10, 50)
-EXEC_LANES = 4
 
 
 def _recover(root):
@@ -39,48 +36,46 @@ def _recover(root):
 
 
 def test_hot_group(benchmark, paper_report, tmp_path):
-    rows = benchmark.pedantic(
-        lambda: hot_group(conflict_pcts=CONFLICTS, exec_lanes=EXEC_LANES),
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(hot_group, rounds=1, iterations=1)
     by_key = {(r.conflict_pct, r.exec_lanes): r for r in rows}
-    assert set(by_key) == {(p, e) for p in CONFLICTS for e in (0, EXEC_LANES)}
+    lanes = max(r.exec_lanes for r in rows)
+    conflicts = sorted({r.conflict_pct for r in rows})
+    assert set(by_key) == {(p, e) for p in conflicts for e in (0, lanes)}
 
     # exact-output parity: asserted inside the experiment per rate, and
     # surfaced on every row so the baseline records it
     assert all(r.parity for r in rows), "parallel output diverged from serial"
 
     # the headline claim: independent commands overlap on the exec lanes
-    low = by_key[(0, EXEC_LANES)]
+    low = by_key[(0, lanes)]
     assert low.speedup >= 1.5, f"0%-conflict speedup {low.speedup:.2f} < 1.5"
     assert low.conflicts == 0 and low.reexecutions == 0
 
     # graceful degradation: conflicts are detected and re-executed, and
     # the non-conflicting majority still buys real overlap
-    hot = by_key[(50, EXEC_LANES)]
+    hot = by_key[(50, lanes)]
     assert hot.conflicts > 0 and hot.reexecutions == hot.conflicts
     assert hot.speedup >= 1.2, f"50%-conflict speedup {hot.speedup:.2f} < 1.2"
 
     # serial rows never touch the scheduler
-    for pct in CONFLICTS:
+    for pct in conflicts:
         serial = by_key[(pct, 0)]
         assert serial.commands_parallel == serial.conflicts == 0
         assert serial.reexecutions == serial.commit_stalls == 0
 
     # recovered-storage parity: a persistent run's WAL through the
     # scheduler commit path recovers to exactly the serial records
-    # (smaller scale — the claim is byte identity, not throughput)
-    persist = hot_group(
-        members=64, msgs=24, conflict_pcts=(50,), exec_lanes=EXEC_LANES,
-        store_root=tmp_path,
-    )
+    # (quick scale — the claim is byte identity, not throughput)
+    quick = EXPERIMENTS["hot_group"].quick
+    persist = hot_group(**quick, store_root=tmp_path)
     assert all(r.parity for r in persist)
-    serial_rec = _recover(tmp_path / "run0-lanes0")
-    parallel_rec = _recover(tmp_path / f"run0-lanes{EXEC_LANES}")
-    assert serial_rec == parallel_rec, "recovered storage diverged"
+    for run in range(len(quick["conflict_pcts"])):
+        serial_rec = _recover(tmp_path / f"run{run}-lanes0")
+        parallel_rec = _recover(tmp_path / f"run{run}-lanes{lanes}")
+        assert serial_rec == parallel_rec, "recovered storage diverged"
 
     # determinism: re-running reproduces every number exactly
-    again = hot_group(conflict_pcts=CONFLICTS, exec_lanes=EXEC_LANES)
+    again = hot_group()
     assert [
         (r.conflict_pct, r.exec_lanes, r.accepted_per_s, r.conflicts,
          r.commit_stalls) for r in again
@@ -91,7 +86,7 @@ def test_hot_group(benchmark, paper_report, tmp_path):
 
     save_results("hot_group", {
         "members": 1000,
-        "exec_lanes": EXEC_LANES,
+        "exec_lanes": lanes,
         "rows": [
             {"conflict_pct": r.conflict_pct, "exec_lanes": r.exec_lanes,
              "accepted_per_s": r.accepted_per_s,

@@ -17,9 +17,7 @@ from repro.bench.report import format_table
 
 
 def test_join_latency(benchmark, paper_report):
-    rows = benchmark.pedantic(
-        join_latency, kwargs={"state_bytes": 100_000}, rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(join_latency, rounds=1, iterations=1)
     healthy, slow, hung = rows
 
     # Corona: insensitive to member condition (within measurement noise)

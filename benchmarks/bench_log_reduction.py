@@ -17,10 +17,7 @@ from repro.bench.report import format_table
 
 
 def test_log_reduction(benchmark, paper_report):
-    rows = benchmark.pedantic(
-        log_reduction, kwargs={"n_updates": 2000, "update_bytes": 500},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(log_reduction, rounds=1, iterations=1)
     never, bounded = rows
 
     assert never.log_records == 2000

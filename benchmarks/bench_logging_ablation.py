@@ -19,10 +19,7 @@ from repro.bench.report import format_table
 
 
 def test_logging_ablation(benchmark, paper_report):
-    rows = benchmark.pedantic(
-        logging_ablation, kwargs={"size": 10000, "duration": 3.0},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(logging_ablation, rounds=1, iterations=1)
     stateless, async_log, sync_log = rows
 
     # async logging ~ free (within 5% of stateless on both axes)

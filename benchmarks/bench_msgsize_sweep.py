@@ -13,24 +13,18 @@ import numpy as np
 from repro.bench.experiments import msgsize_sweep
 from repro.bench.report import format_table
 
-SIZES = (100, 300, 1000, 3000, 10000)
-CLIENTS = (10, 30, 60)
-
 
 def _slope(row) -> float:
-    ns = np.array(CLIENTS, dtype=float)
-    ys = np.array([row.rtt_by_clients[n] for n in CLIENTS])
+    ns = np.array(list(row.rtt_by_clients), dtype=float)
+    ys = np.array(list(row.rtt_by_clients.values()))
     return float(np.polyfit(ns, ys, 1)[0])
 
 
 def test_msgsize_sweep(benchmark, paper_report):
-    rows = benchmark.pedantic(
-        msgsize_sweep,
-        kwargs={"sizes": SIZES, "client_counts": CLIENTS, "probes": 25},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(msgsize_sweep, rounds=1, iterations=1)
     by_size = {r.size: r for r in rows}
     slopes = {r.size: _slope(r) for r in rows}
+    clients = list(rows[0].rtt_by_clients)
 
     # small messages: within a few hundred bytes, size barely matters
     small_gap = by_size[300].rtt_by_clients[60] / by_size[100].rtt_by_clients[60]
@@ -40,16 +34,16 @@ def test_msgsize_sweep(benchmark, paper_report):
         f"slope at 10 kB ({slopes[10000]:.2f}) should dwarf 1 kB ({slopes[1000]:.2f})"
     )
     # and the 10 kB curve stays linear
-    ns = np.array(CLIENTS, dtype=float)
-    ys = np.array([by_size[10000].rtt_by_clients[n] for n in CLIENTS])
+    ns = np.array(clients, dtype=float)
+    ys = np.array([by_size[10000].rtt_by_clients[n] for n in clients])
     fit = np.polyval(np.polyfit(ns, ys, 1), ns)
     r2 = 1 - ((ys - fit) ** 2).sum() / ((ys - ys.mean()) ** 2).sum()
     assert r2 > 0.98
 
     paper_report(format_table(
         "Message-size sweep — mean RTT (ms) by group size",
-        ["size (B)"] + [f"{n} clients" for n in CLIENTS] + ["ms/client slope"],
-        [[r.size] + [r.rtt_by_clients[n] for n in CLIENTS] + [slopes[r.size]]
+        ["size (B)"] + [f"{n} clients" for n in clients] + ["ms/client slope"],
+        [[r.size] + [r.rtt_by_clients[n] for n in clients] + [slopes[r.size]]
          for r in rows],
         note=(
             "Paper: size matters little below a few hundred bytes; above\n"

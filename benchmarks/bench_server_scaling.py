@@ -13,15 +13,9 @@ diminishing returns as the constant sequencing hop starts to dominate.
 from repro.bench.experiments import server_scaling
 from repro.bench.report import format_table
 
-FANOUTS = (1, 2, 3, 6)
-
 
 def test_server_scaling(benchmark, paper_report):
-    rows = benchmark.pedantic(
-        server_scaling,
-        kwargs={"fanout_counts": FANOUTS, "n_clients": 240, "probes": 5},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(server_scaling, rounds=1, iterations=1)
     rtts = {r.fanout_servers: r.rtt_ms for r in rows}
     # strictly better with each doubling of servers
     assert rtts[2] < rtts[1]

@@ -18,18 +18,16 @@ from repro.bench.experiments import shard_scaling
 from repro.bench.report import format_table
 from repro.bench.results import save_results
 
-SHARDS = (1, 2, 4)
 SEEDS = (0, 1)
 
 
 def test_shard_scaling(benchmark, paper_report):
     runs = benchmark.pedantic(
-        lambda: {seed: shard_scaling(shard_counts=SHARDS, seed=seed)
-                 for seed in SEEDS},
+        lambda: {seed: shard_scaling(seed=seed) for seed in SEEDS},
         rounds=1, iterations=1,
     )
     for seed, rows in runs.items():
-        assert [r.shards for r in rows] == list(SHARDS)
+        assert [r.shards for r in rows] == [1, 2, 4]
         by_shards = {r.shards: r for r in rows}
         # the headline claim: near-linear scaling until the front lane
         assert by_shards[4].speedup >= 1.8, (
@@ -39,7 +37,7 @@ def test_shard_scaling(benchmark, paper_report):
             f"seed {seed}: 2-shard speedup {by_shards[2].speedup:.2f} < 1.5"
         )
     # determinism: re-running a seed reproduces every number exactly
-    again = shard_scaling(shard_counts=SHARDS, seed=SEEDS[0])
+    again = shard_scaling(seed=SEEDS[0])
     assert [(r.shards, r.delivered_kbps, r.accepted_msgs_per_s) for r in again] == [
         (r.shards, r.delivered_kbps, r.accepted_msgs_per_s) for r in runs[SEEDS[0]]
     ], "same seed, different numbers: the sharded sim is not deterministic"

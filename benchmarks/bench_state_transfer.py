@@ -5,14 +5,14 @@ characteristics, the client may request either to receive the whole state
 of the group or the latest n updates to the state ... or only the state of
 certain objects."
 
-Claims reproduced:
+Claims reproduced (``transfer_policies``):
   * on a LAN every policy is fast; on a 28.8k modem the FULL transfer of
     ~100 kB takes tens of seconds while LATEST_N / SELECTED joins remain
     interactive;
   * bytes on the wire shrink proportionally to what the policy excludes.
 
-Gated (``BENCH_state_transfer.json``, contract: docs/protocol.md §state
-transfer): the chunked streaming path —
+Gated (``state_transfer`` -> ``BENCH_state_transfer.json``, contract:
+docs/protocol.md §state transfer): the chunked streaming path —
   * a chunked join over a modem sees its first *live* update at least 5x
     sooner than the monolithic join, and long before the join converges
     (updates flow during the transfer);
@@ -24,13 +24,13 @@ transfer): the chunked streaming path —
     timing-identical to a plain join.
 """
 
-from repro.bench.experiments import state_transfer, transfer_stream
+from repro.bench.experiments import state_transfer, transfer_policies
 from repro.bench.report import format_table
 from repro.bench.results import save_results
 
 
-def test_state_transfer(benchmark, paper_report):
-    rows = benchmark.pedantic(state_transfer, rounds=1, iterations=1)
+def test_transfer_policies(benchmark, paper_report):
+    rows = benchmark.pedantic(transfer_policies, rounds=1, iterations=1)
     by_key = {(r.link, r.policy): r for r in rows}
 
     modem_full = by_key[("28.8k modem", "FULL")]
@@ -55,8 +55,8 @@ def test_state_transfer(benchmark, paper_report):
     ))
 
 
-def test_transfer_stream(benchmark, paper_report):
-    rows = benchmark.pedantic(transfer_stream, rounds=1, iterations=1)
+def test_state_transfer(benchmark, paper_report):
+    rows = benchmark.pedantic(state_transfer, rounds=1, iterations=1)
     by = {r.scenario: r for r in rows}
     mono = by["monolithic/modem"]
     chunked = by["chunked/modem"]

@@ -21,7 +21,7 @@ from repro.bench.results import save_results
 
 
 def test_table1(benchmark, paper_report):
-    cells = benchmark.pedantic(table1, kwargs={"duration": 4.0}, rounds=1, iterations=1)
+    cells = benchmark.pedantic(table1, rounds=1, iterations=1)
     by_key = {(c.machine, c.size): c for c in cells}
 
     usparc_1k = by_key[("UltraSparc-1", 1000)].delivered_kbps

@@ -68,17 +68,12 @@ _BLOCKING_CALLS = {
 #: Dotted-prefix families that block.
 _BLOCKING_PREFIXES = ("subprocess.", "requests.", "urllib.request.")
 
-#: Effect-backend methods reachable through ``interpreter.execute`` /
-#: ``interpreter.dispatch`` (the dynamic hop BLOCK002 must follow).
-_BACKEND_METHODS = (
-    "deliver", "deliver_batch", "deliver_multicast",
-    "start_timer", "cancel_timer", "open_connection", "close_connection",
-    "create_group_storage", "purge_group_storage",
-    "append_wal", "append_wal_many", "write_checkpoint", "truncate_wal",
-    "notify", "shutdown",
-)
-
 _INTERPRETER_CLASS = "repro.core.interpreter.EffectInterpreter"
+
+#: Its backend protocol: every method declared here is reachable through
+#: ``interpreter.execute`` / ``interpreter.dispatch`` (the dynamic hop
+#: BLOCK002 must follow).
+_BACKEND_CLASS = "repro.core.interpreter.EffectBackend"
 
 #: Bases whose methods the transport calls on the event loop.
 _PROTOCOL_BASES = frozenset({
@@ -180,6 +175,8 @@ def _check_block001(graph: ProgramGraph) -> list[Finding]:
 def _dispatch_bridge_edges(graph: ProgramGraph) -> dict[str, list[str]]:
     """``interpreter.execute`` call sites -> the enclosing backend's
     effect methods (its class and every program subclass)."""
+    backend = graph.classes.get(_BACKEND_CLASS)
+    effect_methods = sorted(backend.methods) if backend is not None else []
     edges: dict[str, list[str]] = {}
     for qual in sorted(graph.functions):
         fn = graph.functions[qual]
@@ -195,7 +192,7 @@ def _dispatch_bridge_edges(graph: ProgramGraph) -> dict[str, list[str]]:
             if recv is None or recv.base != _INTERPRETER_CLASS:
                 continue
             for sub in graph.subclasses(fn.cls):
-                for method in _BACKEND_METHODS:
+                for method in effect_methods:
                     target = graph.find_method(sub, method)
                     if target is not None:
                         hops.append(target)

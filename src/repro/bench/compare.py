@@ -8,9 +8,10 @@ root.  A leaf that drifts by more than the relative tolerance (default
 effect-interpreter/runtime refactors do not shift the simulated cost
 model.
 
-Only deterministic (simulated-time) benchmarks belong here: the ones
-:data:`GATED_BENCHMARKS` names produce identical payloads on every
-machine, so any drift is a code change, not noise.
+Only deterministic (simulated-time) benchmarks belong here: the
+experiments :data:`~repro.bench.experiments.EXPERIMENTS` marks gated
+produce identical payloads on every machine, so any drift is a code
+change, not noise.
 Wall-clock microbenchmarks (wire_codec) are archived but not gated.
 """
 
@@ -19,6 +20,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Any
+
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.results import default_baseline_dir
 
 __all__ = [
     "PROVENANCE_KEYS",
@@ -36,16 +40,9 @@ PROVENANCE_KEYS = frozenset(
 )
 
 #: Benchmarks deterministic enough to gate (virtual-time simulations).
-GATED_BENCHMARKS = (
-    "fig3", "table1", "shard_scaling", "backpressure", "hot_group",
-    "migration", "state_transfer", "table2",
+GATED_BENCHMARKS = tuple(
+    name for name, experiment in EXPERIMENTS.items() if experiment.gated
 )
-
-
-def default_baseline_dir() -> Path:
-    """The repo root, where the committed ``BENCH_*.json`` files live."""
-    # src/repro/bench/compare.py -> repo root
-    return Path(__file__).resolve().parents[3]
 
 
 def compare_results(

@@ -6,15 +6,20 @@ returns structured rows that ``benchmarks/`` renders next to the paper's
 reported numbers.  Absolute values depend on the calibrated cost models in
 :mod:`repro.sim.profiles`; the claims under reproduction are the *shapes*
 (see EXPERIMENTS.md).
+
+:data:`EXPERIMENTS`, at the end, names each experiment once: a function's
+defaults are the configuration its benchmark runs (and, when gated,
+``BENCH_<name>.json`` records), and the table adds the ``--quick``
+sizes and whether ``repro benchcheck`` gates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dataclasses_replace
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.bench.metrics import summarize
 from repro.bench.workload import BlastSender, MeasuredSender, build_room
 from repro.core.events import NOTIFY_KICKED, NOTIFY_MEMBERSHIP
 from repro.core.reduction import NeverReduce, ReduceByCount
@@ -36,15 +41,15 @@ from repro.sim.profiles import (
 from repro.wire.messages import ObjectState, TransferPolicy, TransferSpec
 
 __all__ = [
-    "figure3",
+    "fig3",
     "table1",
     "table2",
     "msgsize_sweep",
     "aggregate_throughput",
     "join_latency",
     "join_policy_matrix",
+    "transfer_policies",
     "state_transfer",
-    "transfer_stream",
     "logging_ablation",
     "log_reduction",
     "failover",
@@ -54,7 +59,96 @@ __all__ = [
     "multicast_ablation",
     "backpressure",
     "hot_group",
+    "Experiment",
+    "EXPERIMENTS",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Shared measurement procedures
+# ---------------------------------------------------------------------------
+
+
+def _room(n_clients: int, *, segment=ETHERNET_10MBPS, spread: bool = False,
+          profile: HostProfile = ULTRASPARC_1, sync_logging: bool = False,
+          **config: Any) -> tuple[CoronaWorld, list]:
+    """One server and a room of *n_clients* joined clients on *segment*,
+    or *spread* over six campus segments a router hop away; *config* goes
+    to the server's :class:`ServerConfig`."""
+    world = CoronaWorld(default_segment=segment)
+    world.add_server(
+        profile=profile,
+        config=ServerConfig(server_id="server", **config),
+        sync_logging=sync_logging,
+    )
+    segments = _client_segments(world) if spread else None
+    return world, build_room(world, n_clients, segments=segments)
+
+
+def _probe_rtt(world: CoronaWorld, clients: list, size: int, probes: int,
+               interval: float, *, warmup: int = 0, lead: float = 0.1,
+               settle: float | None = None) -> float:
+    """Mean RTT (ms) of *probes* inclusive multicasts to the "bench" room,
+    one every *interval* from *lead* s on, after *warmup* unmeasured ones.
+
+    A world that never drains (replicated heartbeats re-arm forever)
+    passes *settle*: run the probe window plus that much slack.
+    """
+    # "This client is the last one (in the group) a broadcast message is
+    # sent to, therefore the values measured correspond to the worst case."
+    count = probes + warmup
+    probe = MeasuredSender(
+        world, clients[-1], "bench", size=size, interval=interval,
+        count=count, warmup=warmup,
+    )
+    start = world.now + lead
+    probe.start(at=start)
+    if settle is None:
+        world.run()
+    else:
+        world.run_until(start + count * interval + settle)
+    return probe.rtts.stats().mean_ms
+
+
+def _blast(world: CoronaWorld, server, senders: list[tuple[Any, str]],
+           size: int, duration: float) -> tuple[float, float]:
+    """Each ``(client, group)`` of *senders* multicasts as fast as its
+    send window allows for *duration*; returns the server's delivered
+    kbps and accepted msgs/s over that window."""
+    start = world.now
+    before = server.stats.bytes_sent
+    before_in = server.stats.messages_received
+    blasters = [
+        BlastSender(world, client, group, size=size, duration=duration)
+        for client, group in senders
+    ]
+    for blaster in blasters:
+        blaster.start(at=start + 0.1)
+    world.run_until(start + 0.1 + duration)
+    elapsed = world.now - (start + 0.1)
+    sent = server.stats.bytes_sent - before
+    accepted = server.stats.messages_received - before_in
+    return sent / elapsed / 1000.0, accepted / elapsed
+
+
+def _first_reply(host, clock: Callable[[], float]) -> list[float]:
+    """The timed join: a list that receives the *clock* time of *host*'s
+    next reply, once, as the world runs."""
+    done_at: list[float] = []
+    host.on_notify(
+        lambda kind, payload: done_at.append(clock())
+        if kind == "reply" and not done_at else None
+    )
+    return done_at
+
+
+def _seed_group(world: CoronaWorld, seeder, initial: tuple) -> None:
+    """Create persistent group "g" holding *initial* and join *seeder*."""
+    world.run()
+    seeder.call("create_group", "g", True, initial)
+    world.run()
+    seeder.call("join_group", "g")
+    world.run()
 
 
 # ---------------------------------------------------------------------------
@@ -73,39 +167,21 @@ class Figure3Row:
         return 100.0 * (self.stateful_ms - self.stateless_ms) / self.stateless_ms
 
 
-def _rtt_single_server(n_clients: int, stateful: bool, size: int,
-                       probes: int, interval: float) -> float:
-    world = CoronaWorld()
-    world.add_server(
-        profile=ULTRASPARC_1,
-        config=ServerConfig(server_id="server", stateful=stateful),
-    )
-    clients = build_room(world, n_clients)
-    # "This client is the last one (in the group) a broadcast message is
-    # sent to, therefore the values measured correspond to the worst case."
-    probe = MeasuredSender(
-        world, clients[-1], "bench", size=size, interval=interval, count=probes
-    )
-    probe.start(at=world.now + 0.1)
-    world.run()
-    return probe.rtts.stats().mean_ms
-
-
-def figure3(
+def fig3(
     client_counts: tuple[int, ...] = (5, 10, 20, 30, 40, 50, 60),
     size: int = 1000,
-    probes: int = 50,
+    probes: int = 40,
     interval: float = 0.1,
 ) -> list[Figure3Row]:
     """Fig. 3: group multicast RTT vs #clients, 1000 B, one UltraSparc."""
-    rows = []
-    for n in client_counts:
-        rows.append(Figure3Row(
+    return [
+        Figure3Row(
             clients=n,
-            stateful_ms=_rtt_single_server(n, True, size, probes, interval),
-            stateless_ms=_rtt_single_server(n, False, size, probes, interval),
-        ))
-    return rows
+            stateful_ms=_probe_rtt(*_room(n, stateful=True), size, probes, interval),
+            stateless_ms=_probe_rtt(*_room(n, stateful=False), size, probes, interval),
+        )
+        for n in client_counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -121,52 +197,30 @@ class Table1Cell:
     accepted_msgs_per_s: float
 
 
-def _throughput(server_profile: HostProfile, size: int,
-                n_clients: int = 6, duration: float = 5.0,
-                sync_logging: bool = False, stateful: bool = True,
-                segment=ETHERNET_10MBPS) -> Table1Cell:
-    world = CoronaWorld(default_segment=segment)
-    server = world.add_server(
-        profile=server_profile,
-        config=ServerConfig(server_id="server", stateful=stateful),
-        sync_logging=sync_logging,
-    )
+def _throughput(server_profile: HostProfile, size: int, duration: float,
+                n_clients: int = 6, **room: Any) -> Table1Cell:
     # "6 clients running on separate machines (Sun Sparc 20s and
     # UltraSparc 1s) multicasting data as fast as possible"
-    clients = build_room(world, n_clients)
+    world, clients = _room(n_clients, profile=server_profile, **room)
     for i, client in enumerate(clients):
         client.host.profile = SPARC_20 if i % 2 else ULTRASPARC_1
-    start = world.now
-    before = server.stats.bytes_sent
-    before_in = server.stats.messages_received
-    blasters = [
-        BlastSender(world, client, "bench", size=size, duration=duration)
-        for client in clients
-    ]
-    for blaster in blasters:
-        blaster.start(at=start + 0.1)
-    world.run_until(start + 0.1 + duration)
-    elapsed = world.now - (start + 0.1)
-    sent = server.stats.bytes_sent - before
-    accepted = server.stats.messages_received - before_in
-    return Table1Cell(
-        machine=server_profile.name,
-        size=size,
-        delivered_kbps=sent / elapsed / 1000.0,
-        accepted_msgs_per_s=accepted / elapsed,
+    kbps, accepted = _blast(
+        world, world.servers["server"],
+        [(client, "bench") for client in clients], size, duration,
     )
+    return Table1Cell(server_profile.name, size, kbps, accepted)
 
 
 def table1(
     sizes: tuple[int, ...] = (1000, 10000),
-    duration: float = 5.0,
+    duration: float = 4.0,
 ) -> list[Table1Cell]:
     """Table 1: server throughput for 1000/10000 B multicasts."""
-    cells = []
-    for profile in (ULTRASPARC_1, PENTIUM_II_200):
-        for size in sizes:
-            cells.append(_throughput(profile, size, duration=duration))
-    return cells
+    return [
+        _throughput(profile, size, duration)
+        for profile in (ULTRASPARC_1, PENTIUM_II_200)
+        for size in sizes
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +248,6 @@ def _client_segments(world: CoronaWorld, count: int = 6) -> list[str]:
     return names
 
 
-def _rtt_single_spread(n_clients: int, size: int, probes: int, interval: float) -> float:
-    world = CoronaWorld()
-    world.add_server(profile=ULTRASPARC_1)
-    segments = _client_segments(world)
-    clients = build_room(world, n_clients, segments=segments)
-    probe = MeasuredSender(
-        world, clients[-1], "bench", size=size, interval=interval, count=probes
-    )
-    probe.start(at=world.now + 0.1)
-    world.run()
-    return probe.rtts.stats().mean_ms
-
-
 def _rtt_replicated(n_clients: int, size: int, probes: int, interval: float,
                     n_servers: int = 7) -> float:
     world = CoronaWorld()
@@ -224,32 +265,25 @@ def _rtt_replicated(n_clients: int, size: int, probes: int, interval: float,
         segments=segments,
     )
     world.run_for(5.0)  # drain the join-phase traffic before measuring
-    probe = MeasuredSender(
-        world, clients[-1], "bench", size=size, interval=interval,
-        count=probes + 2, warmup=2,
-    )
-    probe.start(at=world.now + 0.5)
-    # a replicated world never drains (heartbeats re-arm forever):
-    # run for the probe window plus generous slack instead
-    world.run_until(world.now + 0.5 + (probes + 2) * interval + 30.0)
-    return probe.rtts.stats().mean_ms
+    return _probe_rtt(world, clients, size, probes, interval,
+                      warmup=2, lead=0.5, settle=30.0)
 
 
 def table2(
     client_counts: tuple[int, ...] = (100, 200, 300),
     size: int = 1000,
-    probes: int = 15,
+    probes: int = 8,
     interval: float = 1.0,
 ) -> list[Table2Row]:
     """Table 2: multicast RTT, single server vs coordinator + 6 servers."""
-    rows = []
-    for n in client_counts:
-        rows.append(Table2Row(
+    return [
+        Table2Row(
             clients=n,
-            single_ms=_rtt_single_spread(n, size, probes, interval),
+            single_ms=_probe_rtt(*_room(n, spread=True), size, probes, interval),
             replicated_ms=_rtt_replicated(n, size, probes, interval),
-        ))
-    return rows
+        )
+        for n in client_counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +303,7 @@ class MulticastRow:
 def multicast_ablation(
     client_counts: tuple[int, ...] = (10, 30, 60),
     size: int = 1000,
-    probes: int = 20,
+    probes: int = 15,
 ) -> list[MulticastRow]:
     """Paper §5.3: "a version of the communication system which uses both
     IP-multicast, whenever possible, and point-to-point TCP connections".
@@ -280,22 +314,10 @@ def multicast_ablation(
     for n in client_counts:
         cell = {}
         for use_multicast in (False, True):
-            world = CoronaWorld()
-            world.add_server(
-                profile=ULTRASPARC_1,
-                config=ServerConfig(server_id="server", use_multicast=use_multicast),
-            )
-            clients = build_room(world, n)
+            world, clients = _room(n, use_multicast=use_multicast)
             before = world.network.bytes_sent
-            probe = MeasuredSender(
-                world, clients[-1], "bench", size=size, interval=0.2, count=probes
-            )
-            probe.start(at=world.now + 0.1)
-            world.run()
-            cell[use_multicast] = (
-                probe.rtts.stats().mean_ms,
-                world.network.bytes_sent - before,
-            )
+            rtt = _probe_rtt(world, clients, size, probes, 0.2)
+            cell[use_multicast] = (rtt, world.network.bytes_sent - before)
         rows.append(MulticastRow(
             clients=n,
             p2p_ms=cell[False][0],
@@ -321,22 +343,22 @@ def server_scaling(
     fanout_counts: tuple[int, ...] = (1, 2, 3, 6),
     n_clients: int = 240,
     size: int = 1000,
-    probes: int = 6,
+    probes: int = 5,
     interval: float = 1.0,
 ) -> list[ServerScalingRow]:
     """Fix the group at *n_clients*; vary how many servers share the
     fan-out.  The paper's §4.1 design rationale: splitting groups over
     servers 'eliminates some of the network traffic due to the broadcast
     of a message to large groups and also reduces the load per server'."""
-    rows = []
-    for fanout in fanout_counts:
-        rows.append(ServerScalingRow(
+    return [
+        ServerScalingRow(
             fanout_servers=fanout,
             rtt_ms=_rtt_replicated(
                 n_clients, size, probes, interval, n_servers=fanout + 1
             ),
-        ))
-    return rows
+        )
+        for fanout in fanout_counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +375,7 @@ class MsgSizeRow:
 def msgsize_sweep(
     sizes: tuple[int, ...] = (100, 300, 1000, 3000, 10000),
     client_counts: tuple[int, ...] = (10, 30, 60),
-    probes: int = 30,
+    probes: int = 25,
 ) -> list[MsgSizeRow]:
     """RTT vs message size: sizes up to a few hundred bytes barely matter;
     the slope with #clients grows above 1000 B (paper §5.2.1)."""
@@ -362,7 +384,7 @@ def msgsize_sweep(
         # pace probes so large fan-outs fully drain between sends
         interval = max(0.1, client_counts[-1] * size / 1_000_000 * 2)
         rtts = {
-            n: _rtt_single_server(n, True, size, probes, interval)
+            n: _probe_rtt(*_room(n), size, probes, interval)
             for n in client_counts
         }
         rows.append(MsgSizeRow(size=size, rtt_by_clients=rtts))
@@ -383,16 +405,20 @@ class AggregateRow:
 def aggregate_throughput(
     client_counts: tuple[int, ...] = (2, 4, 6, 8, 10, 12),
     size: int = 1000,
-    duration: float = 4.0,
+    duration: float = 3.0,
 ) -> list[AggregateRow]:
     """Aggregate throughput vs offered load: the paper reports that every
     added client increased throughput, sustaining ~600 KB/s on the NT
     server (§5.2.2)."""
-    rows = []
-    for n in client_counts:
-        cell = _throughput(PENTIUM_II_200, size, n_clients=n, duration=duration)
-        rows.append(AggregateRow(clients=n, delivered_kbps=cell.delivered_kbps))
-    return rows
+    return [
+        AggregateRow(
+            clients=n,
+            delivered_kbps=_throughput(
+                PENTIUM_II_200, size, duration, n_clients=n
+            ).delivered_kbps,
+        )
+        for n in client_counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -411,24 +437,15 @@ def _corona_join_time(state_bytes: int, members_crashed: bool) -> float:
     world = CoronaWorld()
     world.add_server(profile=ULTRASPARC_1)
     seeder = world.add_client(client_id="seeder")
-    world.run()
-    initial = (ObjectState("doc", bytes(state_bytes)),)
-    seeder.call("create_group", "g", True, initial)
-    world.run()
-    seeder.call("join_group", "g")
-    world.run()
+    _seed_group(world, seeder, (ObjectState("doc", bytes(state_bytes)),))
     if members_crashed:
         seeder.host.crash()
         world.run()
     joiner = world.add_client(client_id="joiner")
     world.run()
     start = world.now
-    done_at: list[float] = []
+    done_at = _first_reply(joiner.host, world.kernel.now)
     join = joiner.call("join_group", "g")
-    joiner.host.on_notify(
-        lambda kind, payload: done_at.append(world.now)
-        if kind == "reply" and not done_at else None
-    )
     world.run()
     assert join.ok
     return (done_at[0] - start) * 1000.0
@@ -479,11 +496,7 @@ def _isis_join_time(state_bytes: int, donor_delay: float | None,
     joiner_host, joiner = add_client("joiner")
     kernel.run_for(0.2)
     start = kernel.now()
-    done_at: list[float] = []
-    joiner_host.on_notify(
-        lambda kind, payload: done_at.append(kernel.now())
-        if kind == "reply" and not done_at else None
-    )
+    done_at = _first_reply(joiner_host, kernel.now)
     joiner_host.invoke(lambda: [joiner.join_group("g")][1:])
     kernel.run_for(3 * failure_timeout + 5.0)
     assert "g" in joiner.states and done_at
@@ -493,7 +506,7 @@ def _isis_join_time(state_bytes: int, donor_delay: float | None,
 def join_latency(state_bytes: int = 100_000) -> list[JoinLatencyRow]:
     """Join latency: Corona (service-held state) vs ISIS-like (member-held
     state) with healthy, slow, and failed members."""
-    rows = [
+    return [
         JoinLatencyRow(
             "all members healthy",
             _corona_join_time(state_bytes, members_crashed=False),
@@ -510,7 +523,6 @@ def join_latency(state_bytes: int = 100_000) -> list[JoinLatencyRow]:
             _isis_join_time(state_bytes, donor_delay=None, donor_hung=True),
         ),
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +545,9 @@ def _transfer_join(spec: TransferSpec, segment_profile, n_objects: int,
     world.add_segment("client-link", segment_profile)
     world.set_hop_latency("lan", "client-link", CAMPUS_HOP_LATENCY)
     seeder = world.add_client(client_id="seeder")
-    world.run()
-    initial = tuple(
+    _seed_group(world, seeder, tuple(
         ObjectState(f"obj-{i}", bytes(object_bytes)) for i in range(n_objects)
-    )
-    seeder.call("create_group", "g", True, initial)
-    world.run()
-    seeder.call("join_group", "g")
-    world.run()
+    ))
     for i in range(n_updates):
         seeder.call("bcast_update", "g", f"obj-{i % n_objects}", bytes(200))
     world.run()
@@ -550,18 +557,14 @@ def _transfer_join(spec: TransferSpec, segment_profile, n_objects: int,
     world.run()
     before = joiner.host.stats.bytes_received
     start = world.now
-    done_at: list[float] = []
+    done_at = _first_reply(joiner.host, world.kernel.now)
     join = joiner.call("join_group", "g", transfer=spec)
-    joiner.host.on_notify(
-        lambda kind, payload: done_at.append(world.now)
-        if kind == "reply" and not done_at else None
-    )
     world.run()
     assert join.ok, join.error
     return (done_at[0] - start) * 1000.0, joiner.host.stats.bytes_received - before
 
 
-def state_transfer(
+def transfer_policies(
     n_objects: int = 10,
     object_bytes: int = 10_000,
     n_updates: int = 20,
@@ -588,7 +591,7 @@ def state_transfer(
 
 @dataclass
 class StreamRow:
-    """One streaming-join scenario of :func:`transfer_stream`."""
+    """One streaming-join scenario of :func:`state_transfer`."""
 
     scenario: str
     state_kb: int
@@ -637,14 +640,9 @@ def _stream_join(
     ))
     world.set_hop_latency("lan", "client-link", CAMPUS_HOP_LATENCY)
     seeder = world.add_client(host_id="seeder")
-    world.run()
-    initial = tuple(
+    _seed_group(world, seeder, tuple(
         ObjectState(f"obj-{i}", bytes(object_bytes)) for i in range(n_objects)
-    )
-    seeder.call("create_group", "g", True, initial)
-    world.run()
-    seeder.call("join_group", "g")
-    world.run()
+    ))
 
     joiner = world.add_client(
         host_id="joiner", segment="client-link", request_timeout=600.0,
@@ -653,11 +651,7 @@ def _stream_join(
     world.run()
     before = joiner.host.stats.bytes_received
     start = world.now
-    done_at: list[float] = []
-    joiner.host.on_notify(
-        lambda kind, payload: done_at.append(world.now)
-        if kind == "reply" and not done_at else None
-    )
+    done_at = _first_reply(joiner.host, world.kernel.now)
     steps = getattr(link_profile, "steps", ())
     if steps:
         world.vary_rate("client-link", steps, base=start)
@@ -707,7 +701,7 @@ def _stream_join(
     )
 
 
-def transfer_stream() -> list[StreamRow]:
+def state_transfer() -> list[StreamRow]:
     """Streaming joins: monolithic vs chunked over fixed and time-varying
     links, with a mid-transfer disconnect/resume and a small-state
     fast-path control pair."""
@@ -732,8 +726,6 @@ def transfer_stream() -> list[StreamRow]:
             n_objects=2, object_bytes=1_000, update_interval=0.5,
         ),
     ]
-
-
 @dataclass
 class JoinPolicyRow:
     policy: str
@@ -782,7 +774,7 @@ class LoggingRow:
     rtt_ms: float
 
 
-def logging_ablation(size: int = 10000, duration: float = 4.0) -> list[LoggingRow]:
+def logging_ablation(size: int = 10000, duration: float = 3.0) -> list[LoggingRow]:
     """Stateless vs stateful-async vs stateful-sync logging.
 
     Runs on 100 Mbps Ethernet with a heavily loaded log device (500 KB/s
@@ -790,13 +782,11 @@ def logging_ablation(size: int = 10000, duration: float = 4.0) -> list[LoggingRo
     disk I/O — can bind before the network does; asynchronous logging
     rides the same disk without touching the critical path.
     """
-    from dataclasses import replace
-
     from repro.sim.disk import DiskProfile
-    from repro.sim.profiles import ETHERNET_100MBPS
 
-    busy_disk = replace(ULTRASPARC_1, disk=DiskProfile(bytes_per_sec=500_000.0,
-                                                       op_latency=0.002))
+    busy_disk = dataclasses_replace(
+        ULTRASPARC_1, disk=DiskProfile(bytes_per_sec=500_000.0, op_latency=0.002)
+    )
     rows = []
     for mode, stateful, sync in (
         ("stateless (no log)", False, False),
@@ -804,26 +794,15 @@ def logging_ablation(size: int = 10000, duration: float = 4.0) -> list[LoggingRo
         ("synchronous logging", True, True),
     ):
         cell = _throughput(
-            busy_disk, size, duration=duration, sync_logging=sync,
+            busy_disk, size, duration, sync_logging=sync,
             stateful=stateful, segment=ETHERNET_100MBPS,
         )
-        rtt = _rtt_logging(busy_disk, size, stateful, sync)
+        rtt = _probe_rtt(
+            *_room(10, profile=busy_disk, sync_logging=sync, stateful=stateful),
+            size, 30, 0.2,
+        )
         rows.append(LoggingRow(mode, size, cell.delivered_kbps, rtt))
     return rows
-
-
-def _rtt_logging(profile: HostProfile, size: int, stateful: bool, sync: bool) -> float:
-    world = CoronaWorld()
-    world.add_server(
-        profile=profile,
-        config=ServerConfig(server_id="server", stateful=stateful),
-        sync_logging=sync,
-    )
-    clients = build_room(world, 10)
-    probe = MeasuredSender(world, clients[-1], "bench", size=size, count=30, interval=0.2)
-    probe.start(at=world.now + 0.1)
-    world.run()
-    return probe.rtts.stats().mean_ms
 
 
 # ---------------------------------------------------------------------------
@@ -957,21 +936,23 @@ class ShardScalingRow:
     speedup: float
 
 
-def _sharded_blast(shards: int, n_groups: int, members: int, size: int,
-                   duration: float, seed: int) -> tuple[float, float]:
-    """Aggregate (delivered kbps, accepted msg/s) for one shard count."""
+def _sharded_server(shards: int):
+    """A group-sharded UltraSparc server on a fast (100 Mb/s) segment."""
     world = CoronaWorld(default_segment=ETHERNET_100MBPS)
     server = world.add_sharded_server(
         profile=ULTRASPARC_1,
         config=ServerConfig(server_id="server", stateful=True, persist=False),
         shards=shards,
     )
-    # One small room per group.  The seed permutes the group names (and
-    # hence their ring placement) without changing the offered load, so
-    # the scaling claim is not an artifact of one lucky assignment.
+    return world, server
+
+
+def _open_rooms(world: CoronaWorld, prefix: str, n_groups: int,
+                members: int) -> list[tuple[str, list]]:
+    """*n_groups* rooms ``<prefix>-gNN`` of *members* joined clients each."""
     rooms: list[tuple[str, list]] = []
     for g in range(n_groups):
-        group = f"blast-s{seed}-g{g:02d}"
+        group = f"{prefix}-g{g:02d}"
         clients = [
             world.add_client(host_id=f"{group}-c{m}", server="server")
             for m in range(members)
@@ -986,21 +967,7 @@ def _sharded_blast(shards: int, n_groups: int, members: int, size: int,
              for group, clients in rooms for client in clients]
     world.run()
     assert all(j.ok for j in joins), "not every client joined"
-
-    start = world.now
-    before = server.stats.bytes_sent
-    before_in = server.stats.messages_received
-    blasters = [
-        BlastSender(world, clients[0], group, size=size, duration=duration)
-        for group, clients in rooms
-    ]
-    for blaster in blasters:
-        blaster.start(at=start + 0.1)
-    world.run_until(start + 0.1 + duration)
-    elapsed = world.now - (start + 0.1)
-    sent = server.stats.bytes_sent - before
-    accepted = server.stats.messages_received - before_in
-    return sent / elapsed / 1000.0, accepted / elapsed
+    return rooms
 
 
 def shard_scaling(
@@ -1022,9 +989,14 @@ def shard_scaling(
     rows: list[ShardScalingRow] = []
     base: float | None = None
     for shards in shard_counts:
-        kbps, accepted = _sharded_blast(
-            shards, n_groups, members, size, duration, seed
-        )
+        world, server = _sharded_server(shards)
+        # One small room per group.  The seed permutes the group names
+        # (and hence their ring placement) without changing the offered
+        # load, so the scaling claim is not an artifact of one lucky
+        # assignment.
+        rooms = _open_rooms(world, f"blast-s{seed}", n_groups, members)
+        senders = [(clients[0], group) for group, clients in rooms]
+        kbps, accepted = _blast(world, server, senders, size, duration)
         if base is None:
             base = kbps
         rows.append(ShardScalingRow(
@@ -1080,54 +1052,18 @@ def migration(
     Phase two repeats the blast on the rebalanced topology — the gated
     claim is that delivered throughput recovers by >= 1.5x.
     """
-    world = CoronaWorld(default_segment=ETHERNET_100MBPS)
-    server = world.add_sharded_server(
-        profile=ULTRASPARC_1,
-        config=ServerConfig(server_id="server", stateful=True, persist=False),
-        shards=shards,
-    )
+    world, server = _sharded_server(shards)
     host = server.host
     for s in range(1, shards):
         host.router.drain(s)
-    rooms: list[tuple[str, list]] = []
-    for g in range(n_groups):
-        group = f"mig-s{seed}-g{g:02d}"
-        clients = [
-            world.add_client(host_id=f"{group}-c{m}", server="server")
-            for m in range(members)
-        ]
-        rooms.append((group, clients))
-    world.run()
-    creations = [clients[0].call("create_group", group, False)
-                 for group, clients in rooms]
-    world.run()
-    assert all(c.ok for c in creations), "group creation failed"
-    joins = [client.call("join_group", group)
-             for group, clients in rooms for client in clients]
-    world.run()
-    assert all(j.ok for j in joins), "not every client joined"
+    rooms = _open_rooms(world, f"mig-s{seed}", n_groups, members)
     for s in range(1, shards):
         host.router.undrain(s)
     assert all(host.router.route(group) == 0 for group, _ in rooms), \
         "draining did not pin every group to shard 0"
 
-    def blast_window() -> tuple[float, float]:
-        start = world.now
-        before = server.stats.bytes_sent
-        before_in = server.stats.messages_received
-        blasters = [
-            BlastSender(world, clients[0], group, size=size, duration=duration)
-            for group, clients in rooms
-        ]
-        for blaster in blasters:
-            blaster.start(at=start + 0.1)
-        world.run_until(start + 0.1 + duration)
-        elapsed = world.now - (start + 0.1)
-        sent = server.stats.bytes_sent - before
-        accepted = server.stats.messages_received - before_in
-        return sent / elapsed / 1000.0, accepted / elapsed
-
-    hot_kbps, hot_accepted = blast_window()
+    senders = [(clients[0], group) for group, clients in rooms]
+    hot_kbps, hot_accepted = _blast(world, server, senders, size, duration)
     world.run()  # drain the in-flight tail before migrating
 
     # Live-migrate each mis-placed group to its balanced shard while its
@@ -1155,7 +1091,9 @@ def migration(
         sorted((r.finished - r.started) * 1000.0 for r in committed)
     )
 
-    balanced_kbps, balanced_accepted = blast_window()
+    balanced_kbps, balanced_accepted = _blast(
+        world, server, senders, size, duration
+    )
 
     stats = (len(committed),
              float(np.percentile(freezes_ms, 50)),
@@ -1460,35 +1398,72 @@ def hot_group(
         )
         parity = serial_out == par_out
         # exact-output parity is an invariant, not a statistic: a sweep
-        # (including the quick CI variant) fails loudly on divergence
+        # (including the quick variant) fails loudly on divergence
         assert parity, (
             f"parallel delivery streams diverged from serial at "
             f"{pct}% conflict"
         )
         serial_rate = msgs / serial_vt
-        par_rate = msgs / par_vt
-        rows.append(HotGroupRow(
-            conflict_pct=pct,
-            exec_lanes=0,
-            accepted_per_s=serial_rate,
-            elapsed_s=serial_vt,
-            commands_parallel=serial_stats.commands_parallel,
-            conflicts=serial_stats.conflicts,
-            reexecutions=serial_stats.reexecutions,
-            commit_stalls=serial_stats.commit_stalls,
-            speedup=1.0,
-            parity=parity,
-        ))
-        rows.append(HotGroupRow(
-            conflict_pct=pct,
-            exec_lanes=exec_lanes,
-            accepted_per_s=par_rate,
-            elapsed_s=par_vt,
-            commands_parallel=par_stats.commands_parallel,
-            conflicts=par_stats.conflicts,
-            reexecutions=par_stats.reexecutions,
-            commit_stalls=par_stats.commit_stalls,
-            speedup=par_rate / serial_rate,
-            parity=parity,
-        ))
+        for lanes, stats, vt in ((0, serial_stats, serial_vt),
+                                 (exec_lanes, par_stats, par_vt)):
+            rows.append(HotGroupRow(
+                conflict_pct=pct,
+                exec_lanes=lanes,
+                accepted_per_s=msgs / vt,
+                elapsed_s=vt,
+                commands_parallel=stats.commands_parallel,
+                conflicts=stats.conflicts,
+                reexecutions=stats.reexecutions,
+                commit_stalls=stats.commit_stalls,
+                speedup=msgs / vt / serial_rate,
+                parity=parity,
+            ))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The registry: every experiment, named once
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One reproduced result.  Its function's name is its name everywhere
+    (``corona-bench <name>``, ``BENCH_<name>.json``) and the function's
+    defaults are its full configuration; *quick* shrinks that for
+    ``--quick`` and the smoke tests; *gated* puts ``BENCH_<name>.json``
+    under ``repro benchcheck``."""
+
+    func: Callable[..., list]
+    quick: dict[str, Any] = field(default_factory=dict)
+    gated: bool = False
+
+    def run(self, quick: bool = False) -> list:
+        return self.func(**(self.quick if quick else {}))
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    experiment.func.__name__: experiment for experiment in (
+        Experiment(fig3, {"client_counts": (5, 20, 40), "probes": 15}, gated=True),
+        Experiment(table1, {"duration": 2.0}, gated=True),
+        Experiment(table2, {"client_counts": (100, 200), "probes": 4}, gated=True),
+        Experiment(multicast_ablation, {"client_counts": (10, 30), "probes": 8}),
+        Experiment(server_scaling,
+                   {"fanout_counts": (1, 3), "n_clients": 120, "probes": 3}),
+        Experiment(msgsize_sweep, {"probes": 10}),
+        Experiment(aggregate_throughput, {"duration": 2.0}),
+        Experiment(join_latency),
+        Experiment(transfer_policies),
+        Experiment(state_transfer, gated=True),
+        Experiment(join_policy_matrix),
+        Experiment(logging_ablation, {"duration": 2.0}),
+        Experiment(log_reduction, {"n_updates": 500}),
+        Experiment(failover, {"suspicion_timeouts": (0.5,)}),
+        Experiment(shard_scaling,
+                   {"n_groups": 8, "members": 3, "duration": 1.0}, gated=True),
+        Experiment(migration, {"n_groups": 8, "blast": 20}, gated=True),
+        Experiment(backpressure, {"blast_count": 80, "churn_ops": 10}, gated=True),
+        Experiment(hot_group,
+                   {"members": 64, "msgs": 24, "conflict_pcts": (0, 50)}, gated=True),
+    )
+}

@@ -17,18 +17,21 @@ import sys
 from pathlib import Path
 from typing import Any
 
-__all__ = ["bench_dir", "save_results"]
+__all__ = ["bench_dir", "default_baseline_dir", "save_results"]
 
 _ENV_VAR = "CORONA_BENCH_DIR"
+
+
+def default_baseline_dir() -> Path:
+    """The repo root, where the committed ``BENCH_*.json`` files live."""
+    # src/repro/bench/results.py -> repo root
+    return Path(__file__).resolve().parents[3]
 
 
 def bench_dir() -> Path:
     """Directory where BENCH_*.json files are written."""
     override = os.environ.get(_ENV_VAR)
-    if override:
-        return Path(override)
-    # src/repro/bench/results.py -> repo root
-    return Path(__file__).resolve().parents[3]
+    return Path(override) if override else default_baseline_dir()
 
 
 def save_results(name: str, results: dict[str, Any]) -> Path:

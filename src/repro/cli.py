@@ -6,7 +6,7 @@
 
 ``corona-bench`` regenerates one reproduced paper result from the shell::
 
-    corona-bench figure3
+    corona-bench fig3
     corona-bench table2 --quick
 
 ``repro`` hosts the analysis tooling (and wraps the two above)::
@@ -98,33 +98,15 @@ def server_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-_BENCHES = {
-    "figure3": ("figure3", {"quick": {"client_counts": (5, 20, 40), "probes": 15}}),
-    "table1": ("table1", {"quick": {"duration": 2.0}}),
-    "table2": ("table2", {"quick": {"client_counts": (100, 200), "probes": 4}}),
-    "msgsize": ("msgsize_sweep", {"quick": {"probes": 10}}),
-    "aggregate": ("aggregate_throughput", {"quick": {"duration": 2.0}}),
-    "join": ("join_latency", {"quick": {}}),
-    "transfer": ("state_transfer", {"quick": {}}),
-    "logging": ("logging_ablation", {"quick": {"duration": 2.0}}),
-    "reduction": ("log_reduction", {"quick": {"n_updates": 500}}),
-    "failover": ("failover", {"quick": {"suspicion_timeouts": (0.5,)}}),
-    "scaling": ("server_scaling", {"quick": {"fanout_counts": (1, 3), "n_clients": 120, "probes": 3}}),
-    "shards": ("shard_scaling", {"quick": {"n_groups": 8, "members": 3, "duration": 1.0}}),
-    "mcast": ("multicast_ablation", {"quick": {"client_counts": (10, 30), "probes": 8}}),
-    "backpressure": ("backpressure", {"quick": {"blast_count": 80, "churn_ops": 10}}),
-    "hot-group": ("hot_group", {"quick": {"members": 64, "msgs": 24, "conflict_pcts": (0, 50)}}),
-    "migration": ("migration", {"quick": {"n_groups": 8, "blast": 20}}),
-}
-
-
 def bench_main(argv: list[str] | None = None) -> int:
     """Entry point of ``corona-bench``."""
+    from repro.bench.experiments import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="corona-bench",
         description="Regenerate one reproduced result of the ICDCS'99 paper.",
     )
-    parser.add_argument("experiment", choices=sorted(_BENCHES))
+    parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.add_argument(
         "--quick", action="store_true", help="smaller parameters, faster run"
     )
@@ -132,23 +114,15 @@ def bench_main(argv: list[str] | None = None) -> int:
 
     from dataclasses import fields
 
-    from repro.bench import experiments
     from repro.bench.report import format_table
 
-    func_name, variants = _BENCHES[args.experiment]
-    func = getattr(experiments, func_name)
-    kwargs = variants["quick"] if args.quick else {}
-    rows = func(**kwargs)
+    rows = EXPERIMENTS[args.experiment].run(quick=args.quick)
     if not rows:
         print("no results")
         return 1
-    first = rows[0]
-    headers = [f.name for f in fields(first)]
-    table = [
-        [getattr(row, h) for h in headers]
-        for row in rows
-    ]
-    print(format_table(f"{func_name} (reproduced)", headers, table))
+    headers = [f.name for f in fields(rows[0])]
+    table = [[getattr(row, h) for h in headers] for row in rows]
+    print(format_table(f"{args.experiment} (reproduced)", headers, table))
     return 0
 
 

@@ -71,13 +71,21 @@ async def handler(fd):
         assert rule_ids(findings) == ["BLOCK002"]
         assert "handler" in findings[0].message
 
+    #: The interpreter module's two classes: the bridge follows every
+    #: method the backend protocol declares.
+    INTERPRETER = """
+class EffectBackend:
+    def deliver_fanout(self, conns, message): pass
+    def append_wal(self, group, seqno, record): pass
+
+class EffectInterpreter:
+    def execute(self, effects): pass
+"""
+
     def test_fires_through_interpreter_dispatch_bridge(self):
         findings = deep(
             rules=("BLOCK002",),
-            repro__core__interpreter="""
-class EffectInterpreter:
-    def execute(self, effects): pass
-""",
+            repro__core__interpreter=self.INTERPRETER,
             repro__backend="""
 import os
 from repro.core.interpreter import EffectInterpreter
@@ -93,6 +101,34 @@ class Backend:
         )
         assert rule_ids(findings) == ["BLOCK002"]
         assert "append_wal" in findings[0].message
+
+    def test_fires_through_fanout_from_a_loop_callback(self):
+        # a fan-out is one effect: its only blocking call sits in the
+        # backend's deliver_fanout, reached from a call_soon callback
+        findings = deep(
+            rules=("BLOCK002",),
+            repro__core__interpreter=self.INTERPRETER,
+            repro__backend="""
+import asyncio
+import os
+from repro.core.interpreter import EffectBackend, EffectInterpreter
+
+class Backend(EffectBackend):
+    def __init__(self):
+        self.interpreter = EffectInterpreter()
+        self._loop = asyncio.new_event_loop()
+    def deliver_fanout(self, conns, message):
+        os.fsync(3)
+        return len(conns)
+    def submit(self, effects):
+        self._loop.call_soon(self._run, effects)
+    def _run(self, effects):
+        self.interpreter.execute(effects)
+""",
+        )
+        assert rule_ids(findings) == ["BLOCK002"]
+        assert "Backend.deliver_fanout" in findings[0].message
+        assert "callback repro.backend.Backend._run" in findings[0].message
 
     def test_silent_when_only_sync_code_reaches_it(self):
         findings = deep(rules=("BLOCK002",), repro__m="""

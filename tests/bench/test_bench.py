@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.metrics import LatencySample, summarize
 from repro.bench.report import format_table
 from repro.bench.workload import BlastSender, MeasuredSender, build_room
@@ -100,30 +101,22 @@ class TestWorkloads:
 
 
 class TestExperimentSmoke:
-    """Tiny-parameter runs of each experiment (full runs live in
+    """Quick-scale rows of the registered experiments (full runs live in
     benchmarks/)."""
 
     def test_figure3_smoke(self):
-        from repro.bench.experiments import figure3
-
-        rows = figure3(client_counts=(3, 6), probes=5)
+        rows = EXPERIMENTS["fig3"].run(quick=True)
         assert rows[1].stateful_ms > rows[0].stateful_ms
         assert rows[0].overhead_pct < 10
 
     def test_table1_smoke(self):
-        from repro.bench.experiments import table1
-
-        cells = table1(sizes=(1000,), duration=1.0)
+        cells = EXPERIMENTS["table1"].run(quick=True)
         assert all(c.delivered_kbps > 0 for c in cells)
 
     def test_join_latency_smoke(self):
-        from repro.bench.experiments import join_latency
-
-        rows = join_latency(state_bytes=10_000)
+        rows = EXPERIMENTS["join_latency"].run(quick=True)
         assert all(r.corona_ms < r.isis_ms for r in rows)
 
     def test_failover_smoke(self):
-        from repro.bench.experiments import failover
-
-        rows = failover(suspicion_timeouts=(0.5,), n_servers=3)
+        rows = EXPERIMENTS["failover"].run(quick=True)
         assert all(r.recovery_s > 0 for r in rows)

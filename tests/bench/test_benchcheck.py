@@ -95,6 +95,15 @@ class TestCheckBaseline:
         for name in GATED_BENCHMARKS:
             assert (root / f"BENCH_{name}.json").exists(), name
 
+    def test_every_committed_baseline_is_gated(self):
+        """A baseline nobody checks is dead weight: every committed
+        ``BENCH_*.json`` but the wall-clock wire_codec one is gated."""
+        committed = {
+            path.stem.removeprefix("BENCH_")
+            for path in default_baseline_dir().glob("BENCH_*.json")
+        }
+        assert committed - {"wire_codec"} == set(GATED_BENCHMARKS)
+
 
 class TestBenchcheckCli:
     def test_passes_against_own_baselines(self, tmp_path, capsys):
