@@ -83,7 +83,9 @@ class RaceRecorder:
         self._events: list[RaceEvent] = []
         self._lock = threading.Lock()
         self._tokens = itertools.count(1)
-        self._frame_keys: dict[int, int] = {}
+        #: id(message) -> (key, message), held so no other message (on
+        #: another lane: a phantom race) can reuse the id
+        self._frame_keys: dict[int, tuple[int, Any]] = {}
 
     def send(self, lane: str, mailbox: str, loc: str = "") -> int:
         """Record a mailbox post from *lane*; returns the hop token."""
@@ -111,9 +113,9 @@ class RaceRecorder:
 
         The optimistic scheduler's execution lanes warm delivery frames
         outside any interpreter middleware; this is their hook into the
-        same frame-object model the ``wire=True`` middleware uses, so
+        same frame-object model the :meth:`middleware` uses, so
         the happens-before replay sees the lane's fill ordered (via the
-        commit join edge) before the front's cached-frame reads."""
+        commit join edge) before its shard's cached-frame reads."""
         obj = self._frame_key(message)
         if frames.cached_frame(message) is not None:
             self.read(lane, obj, loc)
@@ -124,35 +126,27 @@ class RaceRecorder:
         # intern object identity into first-seen order so recorded traces
         # are deterministic across processes (id() is not)
         with self._lock:
-            key = self._frame_keys.setdefault(id(message), len(self._frame_keys) + 1)
+            keys = self._frame_keys
+            key = keys.setdefault(id(message), (len(keys) + 1, message))[0]
         return f"frame:{key}"
 
     def events(self) -> list[RaceEvent]:
         with self._lock:
             return list(self._events)
 
-    def middleware(
-        self, lane: str, wire: bool = True
-    ) -> Callable[[Any, Callable[[Any], None]], None]:
+    def middleware(self, lane: str) -> Callable[[Any, Callable[[Any], None]], None]:
         """Interpreter middleware recording shared-object accesses on
-        *lane*: WAL/checkpoint writes, and — when *wire* is set — frame
-        cache fills (first encode of a message = write) vs. reuses
-        (= read).  Pass ``wire=False`` for shard lanes: their backends
-        relay message objects to the front without encoding, so only the
-        front's wire path actually touches the frame cache."""
+        *lane*: WAL/checkpoint writes, and frame cache fills (first encode
+        of a message = write) vs. reuses (= read) — every lane of a
+        sharded host sends straight into the host's outboxes."""
         # dispatch by type name, not isinstance chains: this observer is
         # not an effect interpreter (and must stay EFF001-clean)
         def middleware(effect: Any, nxt: Callable[[Any], None]) -> None:
             kind = type(effect).__name__
             if kind in ("AppendWal", "WriteCheckpoint"):
                 self.write(lane, f"wal:{effect.group}", loc=kind)
-            elif wire and kind in ("SendMessage", "SendFanout", "SendMulticast"):
-                message = effect.message
-                obj = self._frame_key(message)
-                if frames.cached_frame(message) is not None:
-                    self.read(lane, obj, loc=kind)
-                else:
-                    self.write(lane, obj, loc=kind)
+            elif kind in ("SendMessage", "SendFanout", "SendMulticast"):
+                self.wire_access(lane, effect.message, loc=kind)
             nxt(effect)
 
         return middleware

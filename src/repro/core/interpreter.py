@@ -236,7 +236,7 @@ class EffectBackend:
 
         Default: per-recipient :meth:`deliver` calls.  A host overrides
         it to do once what does not depend on the recipient (sizing and
-        classifying the frame, one relay to the front)."""
+        classifying the frame, one call into the host)."""
         delivered = 0
         for conn in conns:
             if self.deliver(conn, message):

@@ -22,7 +22,7 @@ coordination logic and nothing for a parity test to keep in sync:
 * :class:`ShardWorkerBase` is one shard: its own
   :class:`~repro.core.server.ServerCore` holding only the groups it
   owns, its own :class:`~repro.core.interpreter.EffectInterpreter` and
-  store, the mailbox item protocol and the relays back to the front.
+  store, the mailbox item protocol, its sends and its relays to the front.
 * :class:`ShardRouter` maps ``GroupId -> shard`` with a consistent-hash
   ring (stable across restarts and shard-count-preserving recoveries)
   plus an explicit per-group *lease* for groups that live away from
@@ -47,11 +47,11 @@ its stashed runtime and the lease (and epoch) never move.
 A connection can span groups on several shards: the front lazily
 *introduces* the connection to a shard (a synthesized Hello carrying the
 authenticated client id) before forwarding its first request there, and
-fans a close out to every shard that was introduced.  Replies flow back
-through the front's interpreter, so per-connection send order is the
-front's FIFO and the counters on both sides are real interpreter stats —
-:attr:`ShardFront.dispatch_stats` is their field-wise sum, identical
-under both drivers.
+fans a close out to every shard that was introduced.  A worker's sends
+go straight into the host's outboxes, so per-connection send order is
+the worker's FIFO and each send is counted once, by the interpreter that
+ran it — :attr:`ShardFront.dispatch_stats` is the field-wise sum,
+identical under both drivers and equal to a flat server's.
 """
 
 from __future__ import annotations
@@ -59,13 +59,13 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import hashlib
+from collections import defaultdict
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.auth import AllowAnyClient
 from repro.core.clock import Clock
 from repro.core.errors import CoronaError, ProtocolError, StaleEpochError
-from repro.core.events import SendFanout
 from repro.core.group_runtime import GroupRuntime
 from repro.core.ids import ClientId, ConnId, GroupId
 from repro.core.interpreter import DispatchStats, EffectInterpreter, Middleware
@@ -120,6 +120,9 @@ __all__ = [
 
 #: Points each shard contributes to the consistent-hash ring.
 VNODES = 64
+
+#: Ring owners a :class:`ShardRouter` memoizes before clearing the memo.
+NATURAL_MEMO = 4096
 
 #: Request types the front routes to the owning shard (each carries a
 #: ``group`` field).  Everything ServerCore dispatches except the three
@@ -194,6 +197,8 @@ class ShardRouter:
         )
         self._points = [h for h, _ in ring]
         self._owners = [s for _, s in ring]
+        #: group -> ring owner, bounded by NATURAL_MEMO (the ring is fixed)
+        self._natural: dict[GroupId, int] = {}
         self._leases: dict[GroupId, int] = {}
         self._epochs: dict[GroupId, int] = {}
         self._drained: set[int] = set()
@@ -206,7 +211,12 @@ class ShardRouter:
 
     def natural(self, group: GroupId) -> int:
         """The ring owner of *group*, ignoring pins and drains."""
-        return self._ring_owner(group, avoid=frozenset())
+        owner = self._natural.get(group)
+        if owner is None:
+            if len(self._natural) >= NATURAL_MEMO:
+                self._natural.clear()
+            owner = self._natural[group] = self._ring_owner(group, frozenset())
+        return owner
 
     def route(self, group: GroupId) -> int:
         """Where requests for *group* go: its lease, else the ring owner.
@@ -217,7 +227,7 @@ class ShardRouter:
         leased = self._leases.get(group)
         if leased is not None:
             return leased
-        return self._ring_owner(group, avoid=frozenset())
+        return self.natural(group)
 
     def assign(self, group: GroupId) -> int:
         """Placement for a group being *created* now.
@@ -229,7 +239,7 @@ class ShardRouter:
         leased = self._leases.get(group)
         if leased is not None and leased not in self._drained:
             return leased
-        natural = self._ring_owner(group, avoid=frozenset())
+        natural = self.natural(group)
         if natural not in self._drained:
             self._leases.pop(group, None)
             return natural
@@ -320,7 +330,7 @@ class ShardSessions(SessionCore):
         self.shard_count = shard_count
         self._post = post
         #: Which shards each connection has been introduced to.
-        self._intro: dict[ConnId, set[int]] = {}
+        self._intro: defaultdict[ConnId, set[int]] = defaultdict(set)
         #: In-flight ListGroups scatter-gathers: (conn, request_id) ->
         #: {"remaining": shards yet to answer, "infos": fragments so far}.
         self._gathers: dict[tuple[ConnId, int], dict[str, Any]] = {}
@@ -390,8 +400,8 @@ class ShardSessions(SessionCore):
     def _introduce(self, shard: int, conn: ConnId, client: ClientId) -> None:
         """Present the already-authenticated *client* to *shard*'s core
         before anything of its connection lands there (once per shard;
-        the HelloReply echo is swallowed in :meth:`shard_reply`)."""
-        seen = self._intro.setdefault(conn, set())
+        the worker drops the HelloReply echo)."""
+        seen = self._intro[conn]
         if shard not in seen:
             seen.add(shard)
             self._post(shard, ("hello", conn, Hello(client_id=client)))
@@ -563,23 +573,12 @@ class ShardSessions(SessionCore):
             merged = tuple(sorted(gather["infos"], key=lambda info: info.name))
             self.send(conn, GroupListReply(request_id, merged))
 
-    # -- shard -> client replies -----------------------------------------
-
-    def shard_reply(self, conn: ConnId, messages: list[Message]) -> None:
-        """Relay a run of shard-core sends to the client (front-loop
-        only)."""
-        for message in messages:
-            # an introduction echo is dropped: the client already got
-            # the front's HelloReply
-            if not isinstance(message, HelloReply):
-                self.send(conn, message)
-
 
 class ShardWorkerBase(HostBackend):
     """The backend-independent half of a shard worker.
 
     Owns the shard's :class:`ServerCore` + interpreter, its private
-    store, the mailbox item protocol and the relays back to the front.
+    store, the mailbox item protocol, its sends and its relays to the front.
     A driver subclass supplies the mailbox and what drains it
     — :meth:`post`, :meth:`start`, :meth:`stop` and
     :meth:`~repro.runtime.backend.HostBackend.call_later` (a deque and
@@ -630,9 +629,7 @@ class ShardWorkerBase(HostBackend):
         self._race_lane = f"shard{index}"
         middlewares: tuple[Middleware, ...] = ()
         if race_recorder is not None:
-            # wire=False: shard backends relay message objects to the
-            # front unencoded — frame-cache traffic is front-only
-            middlewares = (race_recorder.middleware(self._race_lane, wire=False),)
+            middlewares = (race_recorder.middleware(self._race_lane),)
         super().__init__(store, middlewares)
         # set_core points the core's transfer counters at this worker's
         # interpreter stats, so aggregate_stats() sees them alongside
@@ -648,8 +645,8 @@ class ShardWorkerBase(HostBackend):
         #: store, published before the worker loop starts so the front
         #: can seed router leases without reaching into the live core.
         self.recovered_groups = tuple(sorted(recovered)) if recovered else ()
-        #: Connections this shard has been introduced to; gates deliver()
-        #: so sends after a forwarded close count as drops, exactly like
+        #: Connections this shard has been introduced to; gates the sends
+        #: so those after a forwarded close count as drops, exactly like
         #: the flat server's unknown-connection semantics.
         self.conns = set()
         #: Lease epoch last seen per locally served group; commands
@@ -699,7 +696,11 @@ class ShardWorkerBase(HostBackend):
         if kind == "hello":
             _, conn, hello = item
             self.conns.add(conn)
-            self.interpreter.execute(self.core.on_message(conn, hello))
+            # the client has the front's HelloReply: the echo goes unsent
+            self.interpreter.execute([
+                effect for effect in self.core.on_message(conn, hello)
+                if type(getattr(effect, "message", None)) is not HelloReply
+            ])
         elif kind == "message":
             _, conn, message, epoch = item
             if self._epoch_ok(conn, message, epoch):
@@ -735,7 +736,7 @@ class ShardWorkerBase(HostBackend):
         self._publish_groups()
 
     def _barrier(self) -> None:
-        """Commit and relay every speculated command, then reopen the
+        """Commit and send every speculated command, then reopen the
         window (no-op on a serial core or an empty window)."""
         scheduler = self.core.scheduler
         if scheduler is not None and scheduler.pending:
@@ -776,7 +777,7 @@ class ShardWorkerBase(HostBackend):
             self.migration_event_to_front("migration_failed", group, mig_id)
             return
         # freeze barrier: every speculated command must commit (and its
-        # effects relay) before the state is captured
+        # effects go out) before the state is captured
         self._barrier()
         snap = snapshot_group(runtime, self.store)
         self.core.detach_group(group)
@@ -900,22 +901,22 @@ class ShardWorkerBase(HostBackend):
         """Hand *fn* to the front (the closure runs in front context)."""
         self._host.call_front(fn, self._hop_token("mbox"))
 
+    # -- EffectBackend: sends go straight into the host's outboxes, inline
+    # (per-connection order is the worker's FIFO); the host's verdict counts
+
     def deliver(self, conn: int, message: Any) -> bool:
-        return self.deliver_batch(conn, [message])
+        host = self._host
+        return conn in self.conns and host.alive and host.deliver(conn, message)
 
     def deliver_batch(self, conn: int, messages: list[Any]) -> bool:
-        if conn not in self.conns:
-            return False
-        self._relay(lambda: self._host.sessions.shard_reply(conn, messages))
-        return True
+        host = self._host
+        return conn in self.conns and host.alive and host.deliver_batch(conn, messages)
 
     def deliver_fanout(self, conns: Sequence[int], message: Any) -> int:
-        """One relay for the whole fan-out, not one per recipient: the
-        front's sessions core re-emits it as the one effect it was."""
-        live = tuple(filter(self.conns.__contains__, conns))
-        if live:
-            self._relay(lambda: self._host.sessions.emit(SendFanout(live, message)))
-        return len(live)
+        """One host call for the whole fan-out, minus unknown recipients."""
+        if not self.conns.issuperset(conns):
+            conns = tuple(filter(self.conns.__contains__, conns))
+        return self._host.deliver_fanout(conns, message) if self._host.alive else 0
 
     def migration_event_to_front(self, method: str, *args: Any) -> None:
         """Send a migration lifecycle event to the front's sessions
@@ -978,13 +979,13 @@ class ShardFront:
     A driver mixes this into the
     :class:`~repro.runtime.backend.HostBackend` that runs the sessions
     core — the host *is* its own front — which brings ``interpreter``,
-    ``notify``, ``call_later(delay, fn, *args)`` and ``shutdown(reason)``
-    (stop the whole host: a worker core emitted ``ShutDown``).  On top
-    of that it supplies:
+    ``deliver*`` (a worker's sends), ``notify``, ``call_later(delay, fn,
+    *args)`` and ``shutdown(reason)`` (stop the whole host: a worker core
+    emitted ``ShutDown``).  On top of that it supplies:
 
     ``alive``
-        False once the host stopped or crashed (relays and controller
-        ticks become no-ops);
+        False once the host stopped or crashed (worker sends drop,
+        relays and controller ticks become no-ops);
     ``worker_class``
         the driver's :class:`ShardWorkerBase` subclass.
 
@@ -1081,10 +1082,10 @@ class ShardFront:
         self.interpreter.execute(self.sessions.drain())
 
     def call_front(self, fn: Callable[[], None], token: int = 0) -> None:
-        """A worker's relay back to the front.  Inline under every
+        """A worker's relay back to the front (``notify``, ``shutdown``,
+        ListGroups fragments; sends do not relay).  Inline under every
         driver: workers run on the front's own loop (or kernel), so the
-        relay is part of the worker's callback and per-connection reply
-        order is the worker's FIFO."""
+        relay is part of the worker's callback."""
         self.run_front(fn, token)
 
     # -- stats ---------------------------------------------------------------

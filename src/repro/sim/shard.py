@@ -16,10 +16,10 @@ the worker's, so the fan-out ``send_cost`` and WAL charges land on the
 shard's CPU, not the front's.  That models shards on separate cores —
 what a process-per-shard driver would buy; the asyncio driver runs them
 all on one loop — so groups on different shards burn CPU concurrently,
-which is exactly what ``bench_shard_scaling`` predicts.  Replies relay
-through the front sessions core and the front interpreter, so the
-counter structure (front counts + shard counts) matches the asyncio
-host's and the host-parity suite can compare them field by field.
+which is exactly what ``bench_shard_scaling`` predicts.  A worker's
+sends go straight to the host's ``deliver_batch``, as under the asyncio
+driver, so the counters (front + shards) match the asyncio host's and
+the host-parity suite can compare them field by field.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
                 lanes.stall(self.lane, done)
 
     def _placement(self, conn: int, messages: list) -> tuple[int, float]:
-        """CPU lane + earliest-start floor for relaying *messages*.
+        """CPU lane + earliest-start floor for sending *messages*.
 
         While a flushed window's effects drain, pure ``Delivery`` runs
         for records this window executed spread over the shard's
@@ -249,11 +249,14 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
         lane = self._exec_base + stable_lane(f"conn:{conn}", self._exec_lanes)
         return lane, floor
 
-    # -- EffectBackend: sends (relayed through the front sessions) --------
+    # -- EffectBackend: sends (straight to the host's outboxes) ----------
+
+    def deliver(self, conn: int, message: Any) -> bool:
+        return self.deliver_batch(conn, [message])
 
     def deliver_batch(self, conn: int, messages: list[Any]) -> bool:
-        # the front's fan-out charges land where the model says this
-        # shard would have done the work
+        # the host's send charges land where the model says this shard
+        # would have done the work
         host = self._host
         prev = host._lane, host._exec_floor
         host._lane, host._exec_floor = self._placement(conn, messages)
@@ -263,7 +266,7 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
             host._lane, host._exec_floor = prev
 
     def deliver_fanout(self, conns: Sequence[int], message: Any) -> int:
-        # recipient by recipient, not the base worker's single relay:
+        # recipient by recipient, not the base worker's one host call:
         # each one's charge lands on the lane its connection maps to
         return EffectBackend.deliver_fanout(self, conns, message)
 
@@ -362,9 +365,7 @@ class ShardedSimHost(ShardFront, SimHost):
         self.set_core(self.sessions)
         self.start_workers()
 
-    # -- ShardFront hooks: alive is SimHost's, relays run inline, so the
-    # front's send charges land on the lane the worker selected (see
-    # _SimShardWorker.deliver_batch) ------------------------------------
+    # -- ShardFront hooks (alive is SimHost's) ------------------------------
 
     def start_controller(self, config: Any = None, ticks: int = 8) -> Any:
         """As :meth:`ShardFront.start_controller`, but bounded by

@@ -144,20 +144,6 @@ class TestRecorder:
         ]
         assert events[0].obj == events[1].obj
 
-    def test_middleware_wire_false_skips_frame_events(self):
-        class SendMessage:
-            def __init__(self, message):
-                self.message = message
-
-        class AppendWal:
-            group = "g1"
-
-        recorder = RaceRecorder()
-        mw = recorder.middleware("shard0", wire=False)
-        mw(SendMessage(object()), lambda e: None)
-        mw(AppendWal(), lambda e: None)
-        assert [e.obj for e in recorder.events()] == ["wal:g1"]
-
 
 class TestSerialization:
     def test_jsonl_roundtrip(self):

@@ -321,7 +321,7 @@ def run_fanout_on_sim(make_script, sharded):
 
 class TestFanoutParity:
     """A ``SendFanout`` is its per-recipient sends, counter for counter:
-    on every host, and through a shard worker's single relay."""
+    on every host, and through a shard worker's one host call."""
 
     def test_flat_hosts_count_a_fanout_like_its_unicast_loop(self):
         runs = [
@@ -344,10 +344,9 @@ class TestFanoutParity:
         ]
         assert runs[0] == runs[1] == runs[2] == runs[3]
         stats = runs[0]
-        # the worker knows both real connections (12 + 2 sends, the
-        # unknown one dropped); the front then counts like a flat host
-        # that was never asked about the unknown one
-        assert (stats.sends, stats.send_drops) == (14 + 9, 1 + 5)
+        # the worker's sends reach the host's outboxes directly and
+        # count once, with the host's own verdict: exactly the flat run
+        assert (stats.sends, stats.send_drops) == (8 + 1, 4 + 2)
         assert stats.outbox_kicks == 1
 
 

@@ -14,16 +14,37 @@ group) — must produce:
 
 A fixed core clock pins every timestamp that lands in replies or on
 disk, so the comparisons are exact.
+
+``TestWireEquivalence`` compares across the other axis: one raw-frame
+session against a flat ``AsyncioHost`` and a ``ShardedHost`` on the
+asyncio driver must put the same decoded messages, in the same order,
+on every client's connection.
 """
 
 import asyncio
+import random
 
-from repro.core.server import ServerConfig
+from repro.core.server import ServerConfig, ServerCore
+from repro.net.memory import MemoryNetwork
 from repro.net.tcp import TcpTransport
 from repro.runtime.client import CoronaClient
-from repro.runtime.shard import ShardedHost
+from repro.runtime.host import AsyncioHost
+from repro.runtime.shard import ShardedHost, ShardRouter
 from repro.sim.harness import CoronaWorld
 from repro.storage.store import GroupStore
+from repro.wire.messages import (
+    AcquireLockRequest,
+    BcastStateRequest,
+    BcastUpdateRequest,
+    CreateGroupRequest,
+    GetMembershipRequest,
+    Hello,
+    JoinGroupRequest,
+    LeaveGroupRequest,
+    MembershipReply,
+    PingRequest,
+    ReleaseLockRequest,
+)
 
 SHARDS = 3
 GROUPS = [f"par-g{i}" for i in range(4)]
@@ -212,3 +233,144 @@ class TestShardedParity:
         assert first_stats == second_stats
         assert first_replies == second_replies
         assert _recover_shards(tmp_path / "one") == _recover_shards(tmp_path / "two")
+
+
+# ---------------------------------------------------------------------------
+# flat vs sharded, on the wire
+# ---------------------------------------------------------------------------
+
+WIRE_SHARDS = 4
+
+
+def _groups_on_distinct_shards(count):
+    router = ShardRouter(WIRE_SHARDS)
+    picked = {}
+    for i in range(100):
+        name = f"wire-g{i}"
+        picked.setdefault(router.natural(name), name)
+        if len(picked) == count:
+            return [picked[shard] for shard in sorted(picked)]
+    raise AssertionError("no names spanning enough shards")
+
+
+WIRE_GROUPS = _groups_on_distinct_shards(3)
+WIRE_MEMBERS = {
+    "alice": WIRE_GROUPS[:2],
+    "bob": [WIRE_GROUPS[0], WIRE_GROUPS[2]],
+    "carol": WIRE_GROUPS,
+}
+
+
+def _wire_script():
+    """``(client, request)`` steps, then ``("wait", client, rid)``: the
+    session reads *client*'s stream up to the reply to *rid*.  Every
+    request but the contended lock waits for its reply at once."""
+    rid = iter(range(1, 10_000))
+    steps = []
+
+    def ask(client, make, wait=True):
+        request = make(next(rid))
+        steps.append((client, request))
+        if wait:
+            steps.append(("wait", client, request.request_id))
+        return request.request_id
+
+    g0, g1, g2 = WIRE_GROUPS
+    for group in WIRE_GROUPS:
+        ask("alice", lambda r, g=group: CreateGroupRequest(r, g))
+    for client, groups in WIRE_MEMBERS.items():
+        for group in groups:
+            ask(client, lambda r, g=group: JoinGroupRequest(
+                r, g, notify_membership=True))
+    rng = random.Random(34)
+    for i in range(50):
+        client = rng.choice(sorted(WIRE_MEMBERS))
+        group = rng.choice(WIRE_MEMBERS[client])
+        kind = rng.choice([BcastUpdateRequest, BcastStateRequest])
+        obj, data = f"o{rng.randrange(3)}", b"%d" % i
+        ask(client, lambda r: kind(r, group, obj, data))
+    ask("alice", lambda r: AcquireLockRequest(r, g0, "o0"))
+    # bob blocks behind alice's lock: granted when she releases it
+    queued = ask("bob", lambda r: AcquireLockRequest(r, g0, "o0"), wait=False)
+    ask("alice", lambda r: ReleaseLockRequest(r, g0, "o0"))
+    steps.append(("wait", "bob", queued))
+    ask("bob", lambda r: ReleaseLockRequest(r, g0, "o0"))
+    ask("bob", lambda r: LeaveGroupRequest(r, g0))
+    # carol closes while in one group only: a close that spans shards
+    # emits each shard's notices from its own mailbox, ordered per group
+    # (the paper's guarantee) but not across groups as a flat core's
+    # single pass orders them
+    for group in (g1, g2):
+        ask("carol", lambda r, g=group: LeaveGroupRequest(r, g))
+    steps.append(("close", "carol"))
+    # the barrier is group-routed, so on a sharded server it queues
+    # behind the close in the owning shard's mailbox (a Ping, answered
+    # by the front itself, could overtake the left notice)
+    ask("alice", lambda r: GetMembershipRequest(r, g0))
+    ask("bob", lambda r: GetMembershipRequest(r, g2))
+    return steps
+
+
+WIRE_SCRIPT = _wire_script()
+
+
+async def _read_until(conn, stream, rid):
+    while True:
+        message = await conn.receive()
+        assert message is not None, f"connection closed before reply {rid}"
+        stream.append(message)
+        if getattr(message, "request_id", None) == rid:
+            return
+
+
+def _drive_wire(sharded):
+    async def main():
+        net = MemoryNetwork()
+        config = ServerConfig(server_id="server", persist=False)
+        if sharded:
+            host = ShardedHost(
+                config, net, shards=WIRE_SHARDS, core_clock=FixedClock()
+            )
+        else:
+            host = AsyncioHost(ServerCore(config, clock=FixedClock()), net)
+        await host.listen("srv")
+        conns, streams = {}, {}
+        for client in WIRE_MEMBERS:
+            conns[client] = await net.dial("srv")
+            streams[client] = []
+            await conns[client].send(Hello(client))
+            streams[client].append(await conns[client].receive())
+        for step in WIRE_SCRIPT:
+            if step[0] == "wait":
+                _, client, rid = step
+                await _read_until(conns[client], streams[client], rid)
+            elif step[0] == "close":
+                await conns[step[1]].close()
+            else:
+                client, request = step
+                await conns[client].send(request)
+        await host.stop()
+        return streams
+
+    return asyncio.run(asyncio.wait_for(main(), 20))
+
+
+class TestWireEquivalence:
+    def test_flat_and_sharded_servers_send_the_same_streams(self):
+        router = ShardRouter(WIRE_SHARDS)
+        assert len({router.route(g) for g in WIRE_GROUPS}) == len(WIRE_GROUPS)
+        flat = _drive_wire(sharded=False)
+        sharded = _drive_wire(sharded=True)
+        for client in WIRE_MEMBERS:
+            assert sharded[client] == flat[client], client
+        # the session did what it says: broadcasts fanned out, carol's
+        # leaves and close reached the others, each stream ends at its
+        # barrier, and the barrier no longer lists carol
+        # (carol is in every group, so every broadcast reached her)
+        assert sum(type(m).__name__ == "Delivery" for m in flat["carol"]) == 50
+        for client in ("alice", "bob"):
+            *_, notice, barrier = flat[client]
+            assert type(notice).__name__ == "MembershipNotice"
+            assert [info.client_id for info in notice.left] == ["carol"]
+            assert type(barrier) is MembershipReply
+            assert "carol" not in [info.client_id for info in barrier.members]

@@ -11,10 +11,12 @@ and every worker bounds its WAL loss window like the flat host.
 import asyncio
 import shutil
 import threading
+from unittest import mock
 
 from repro.core.interpreter import metrics_middleware
 from repro.core.server import ServerConfig
 from repro.core.transfer import TransferConfig
+from repro.net.flowcontrol import BoundedOutbox
 from repro.net.memory import MemoryNetwork
 from repro.runtime.client import CoronaClient
 from repro.runtime.host import FLUSH_INTERVAL
@@ -109,7 +111,7 @@ class TestOneDrainPerTick:
 
         run(main())
 
-    def test_a_broadcast_is_one_relay_and_one_front_effect_however_many_members(self):
+    def test_a_broadcast_is_one_host_fanout_and_no_front_work_however_many_members(self):
         async def main():
             front_effects = {}
             host = ShardedHost(
@@ -126,14 +128,18 @@ class TestOneDrainPerTick:
             for conn, _cid in members:
                 conn.batches.clear()
             front_effects.clear()
-            relays = []
+            relays, fanouts = [], []
             call_front = host.call_front
             host.call_front = lambda fn, token=0: (relays.append(1), call_front(fn, token))
+            deliver_fanout = host.deliver_fanout
+            host.deliver_fanout = lambda conns, message: (
+                fanouts.append(len(conns)), deliver_fanout(conns, message)
+            )[1]
 
             host._on_messages(cid0, [BcastUpdateRequest(3, "g", "o", b"x")])
             await ticks()
-            assert len(relays) == 2  # the fan-out, then the sender's Ack
-            assert front_effects == {"SendFanout": 1, "SendMessage": 1}
+            assert relays == [] and front_effects == {}
+            assert fanouts == [5]
             for conn, _cid in members[1:]:
                 ((frame,),) = conn.batches
                 assert frame.update.data == b"x"
@@ -198,6 +204,29 @@ class TestStopDrainsFirst:
             worker.post(("list", 0, 0))
             await ticks()
             assert worker.queue_depth() == 0 and log[-1] == "closed"
+
+        run(main())
+
+    def test_replies_made_while_stop_drains_reach_no_outbox(self, tmp_path):
+        """The backlog runs after the host stopped serving: its Acks and
+        deliveries are dropped (and counted), never pushed."""
+
+        async def main():
+            host, _index, worker, log = await self._queue_updates(tmp_path)
+            drops = worker.interpreter.stats.send_drops
+            pushes = []
+            push = BoundedOutbox.push
+
+            def recording_push(box, message, *args):
+                pushes.append(message)
+                return push(box, message, *args)
+
+            with mock.patch.object(BoundedOutbox, "push", recording_push):
+                await host.stop()
+            assert log[:5] == [b"0", b"1", b"2", b"3", b"4"]
+            assert pushes == []
+            # per update: the sender's own delivery and its Ack
+            assert worker.interpreter.stats.send_drops - drops == 2 * 5
 
         run(main())
 

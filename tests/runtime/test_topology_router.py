@@ -6,7 +6,9 @@ lease, ``route()`` answers that lease no matter what other churn the
 router sees — creations, drains, undrains, unpins of *other* groups,
 or further migrations of this one (the latest lease wins, epoch up by
 one each time).  Hypothesis drives arbitrary operation sequences; the
-oracle is a dict.
+oracle is a dict.  ``TestRouterMemo`` checks that the bounded memo of
+ring owners ``route()`` reads answers exactly what hashing the name
+does, under the same churn and past the bound.
 
 The controller tests feed synthetic :class:`ShardSample` rounds and
 check the three rules (restart wedged > split hot > merge idle), the
@@ -17,6 +19,7 @@ drivers.
 """
 
 import asyncio
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.server import ServerConfig
 from repro.net.tcp import TcpTransport
 from repro.runtime.client import CoronaClient
+from repro.runtime import sharding
 from repro.runtime.shard import ShardedHost, ShardRouter
 from repro.sim.harness import CoronaWorld
 from repro.runtime.topology import (
@@ -104,6 +108,61 @@ class TestRouterLeaseProperty:
                 router.undrain(op[1])
         for name in ("other-0", "other-1", "other-2"):
             assert router.route(name) == reference.route(name)
+
+
+#: One step of the memo property: a name lookup, or lease/drain churn.
+_names = st.text(max_size=12)
+_name_ops = st.one_of(
+    st.tuples(st.sampled_from(["route", "assign", "unpin"]), _names),
+    st.tuples(st.sampled_from(["pin", "migrate"]), _names,
+              st.integers(0, SHARDS - 1)),
+    st.tuples(st.just("drain"), st.integers(0, SHARDS - 1)),
+)
+
+
+class TestRouterMemo:
+    #: Small enough that Hypothesis overflows it in most examples.
+    BOUND = 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_name_ops, max_size=50))
+    def test_memoized_owner_is_the_ring_owner(self, ops):
+        with mock.patch.object(sharding, "NATURAL_MEMO", self.BOUND):
+            router = ShardRouter(SHARDS)
+            leases = {}
+            seen = []
+            for op in ops:
+                kind, arg = op[0], op[1]
+                if kind == "drain":
+                    router.drain(arg)
+                    continue
+                seen.append(arg)
+                if kind == "route":
+                    router.route(arg)
+                elif kind == "assign":
+                    router.assign(arg)
+                    leases = router.pins()
+                elif kind == "unpin":
+                    router.unpin(arg)
+                    leases.pop(arg, None)
+                elif kind == "pin":
+                    router.pin(arg, op[2])
+                    leases[arg] = op[2]
+                else:
+                    router.migrate(arg, op[2])
+                    leases[arg] = op[2]
+                for name in seen:
+                    ring = router._ring_owner(name, frozenset())
+                    assert router.natural(name) == ring
+                    assert router.route(name) == leases.get(name, ring)
+                assert len(router._natural) <= self.BOUND
+
+    def test_cycling_names_cannot_grow_the_memo(self):
+        router = ShardRouter(SHARDS)
+        for i in range(3 * sharding.NATURAL_MEMO):
+            name = f"room-{i}"
+            assert router.route(name) == router._ring_owner(name, frozenset())
+            assert len(router._natural) <= sharding.NATURAL_MEMO
 
 
 def _sample(shard, depth, accepted, groups=("a", "b")):
