@@ -1358,6 +1358,8 @@ def _hot_group_run(
         )
         for client in clients
     )
+    if store_root is not None:
+        server.host.crash()  # closes the shard stores, flushing their WALs
     return server.host.dispatch_stats, deliveries, world.now - start
 
 

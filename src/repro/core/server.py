@@ -112,6 +112,14 @@ class _TransferSession:
 
 
 @dataclass
+class _Link:
+    """A peer host's open connections and its last transfer's bandwidth."""
+
+    conns: int = 0
+    bandwidth: float = 0.0
+
+
+@dataclass
 class ServerConfig:
     """Behavioural knobs of one Corona server."""
 
@@ -167,6 +175,9 @@ class ServerCore(SessionCore):
         #: In-flight chunked transfers, keyed by ``(group, client)``.
         self._transfers: dict[tuple[GroupId, ClientId], _TransferSession] = {}
         self._next_transfer_id = 1
+        #: Each connected peer host's link: a transfer opens at the
+        #: bandwidth the host's last one measured.
+        self._links: dict[Any, _Link] = {}
         self._dispatch: dict[type, Callable[[ConnId, Any], None]] = {
             Hello: self._on_hello,
             CreateGroupRequest: self._on_create,
@@ -356,6 +367,27 @@ class ServerCore(SessionCore):
             self.scheduler.close()
         return self.drain()
 
+    def handle_connected(self, conn: ConnId, peer: Any, key: str) -> None:
+        super().handle_connected(conn, peer, key)
+        host = self._host_of(conn)
+        if host is not None:
+            self._links.setdefault(host, _Link()).conns += 1
+
+    def _host_of(self, conn: ConnId | None) -> Any:
+        """*conn*'s peer host: a TCP "address:port" without its port, the
+        client's host id in the simulator (None: not known)."""
+        peer = self._conn_addr.get(conn)
+        return (peer.rpartition(":")[0] or peer) if isinstance(peer, str) else peer
+
+    def _forget_conn(self, conn: ConnId) -> ClientId | None:
+        host = self._host_of(conn)
+        link = self._links.get(host)
+        if link is not None:
+            link.conns -= 1
+            if not link.conns:  # forgotten with the host's last connection
+                del self._links[host]
+        return super()._forget_conn(conn)
+
     def handle_closed(self, conn: ConnId) -> None:
         """Client failure or disconnect: unobtrusive removal everywhere."""
         if self.scheduler is not None and self.scheduler.pending:
@@ -525,6 +557,7 @@ class ServerCore(SessionCore):
         cfg = self.config.transfer
         if len(frames.payload_of(snapshot)) <= cfg.chunk_threshold_bytes:
             return None
+        host = self._host_of(self._client_conn.get(client))
         transfer = OutgoingTransfer(
             group=snapshot.group,
             client=client,
@@ -532,6 +565,7 @@ class ServerCore(SessionCore):
             snapshot=snapshot,
             config=cfg,
             now=self.clock.now(),
+            bandwidth=self._links.get(host, _Link()).bandwidth,
         )
         self._next_transfer_id += 1
         self._transfers[(snapshot.group, client)] = _TransferSession(
@@ -560,6 +594,9 @@ class ServerCore(SessionCore):
             self.send(conn, chunk)
         if session.transfer.done:
             del self._transfers[key]
+            link = self._links.get(self._host_of(conn))
+            if link is not None:  # a transfer without a sample keeps the old one
+                link.bandwidth = session.transfer.bandwidth or link.bandwidth
 
     def _on_transfer_resume(self, conn: ConnId, msg: TransferResume) -> None:
         client = self._client_of(conn)

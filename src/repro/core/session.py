@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.core.clock import Clock
 from repro.core.errors import CoronaError, NotAuthorizedError, ProtocolError
@@ -109,6 +109,12 @@ class SessionCore(ProtocolCore):
         self.clock = clock
         self._conn_client: dict[ConnId, ClientId] = {}
         self._client_conn: dict[ClientId, ConnId] = {}
+        #: The peer of every open connection, as its host reported it.
+        self._conn_addr: dict[ConnId, Any] = {}
+
+    def handle_connected(self, conn: ConnId, peer: Any, key: str) -> None:
+        if peer is not None:
+            self._conn_addr[conn] = peer
 
     def _on_hello(self, conn: ConnId, msg: Hello) -> None:
         if msg.protocol_version != PROTOCOL_VERSION:
@@ -144,9 +150,10 @@ class SessionCore(ProtocolCore):
         self.send(conn, PingReply(msg.request_id, self.clock.now()))
 
     def _forget_conn(self, conn: ConnId) -> ClientId | None:
-        """Drop *conn* from both tables; returns the client it carried
+        """Drop *conn* from the tables; returns the client it carried
         (None when it never completed a handshake).  A client that
         already reconnected keeps its newer connection."""
+        self._conn_addr.pop(conn, None)
         client = self._conn_client.pop(conn, None)
         if client is not None and self._client_conn.get(client) == conn:
             del self._client_conn[client]

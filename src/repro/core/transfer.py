@@ -39,11 +39,13 @@ frames planned by :class:`OutgoingTransfer`.  The planner keeps a
 bounded in-flight window clocked by :class:`~repro.wire.messages.
 ChunkAck` and adapts the chunk size to the acked-bytes/elapsed-time
 bandwidth estimate, between ``chunk_floor_bytes`` and
-``chunk_ceiling_bytes``.  It samples in two phases: once per window
-round trip until a round first takes ``target_chunk_seconds`` (so a
-fast link reaches its chunk size in round trips, not quarter-seconds),
-and once per ``target_chunk_seconds`` from then on.  Because the chunk
-stream is a byte-exact slice of the one snapshot payload, reassembly is
+``chunk_ceiling_bytes``, starting cold at ``initial_chunk_bytes`` or
+warm from the last estimate for the same peer host.  It samples in two
+phases: once per window round trip until a round first takes
+``target_chunk_seconds`` (so a fast link reaches its chunk size in
+round trips, not quarter-seconds), and once per ``target_chunk_seconds``
+from then on.  Because the chunk stream is a byte-exact slice of the
+one snapshot payload, reassembly is
 byte-identical to the monolithic path by construction, and a resume
 after disconnect restarts at the first byte the client does not have —
 never re-sending acked data.
@@ -100,7 +102,7 @@ class TransferConfig:
     #: even when the client asked for ``chunked`` — small joins keep the
     #: byte/timing-identical cached fast path.
     chunk_threshold_bytes: int = 64 * 1024
-    #: First chunk size of every transfer, before any bandwidth sample.
+    #: First chunk size of a cold transfer (no estimate for its host).
     initial_chunk_bytes: int = 4 * 1024
     #: Adaptation floor: chunks never shrink below this, so slow links
     #: still make progress instead of drowning in per-frame overhead.
@@ -322,6 +324,9 @@ class OutgoingTransfer:
     The first round that takes ``target_chunk_seconds`` or longer (or a
     resume) ends the phase for good; from then on a sample is taken at
     most once per ``target_chunk_seconds``.
+
+    A *bandwidth* above 0.0 is a warm start: it sizes the first chunks
+    only, and the estimate is the transfer's own from its first sample.
     """
 
     __slots__ = (
@@ -340,6 +345,7 @@ class OutgoingTransfer:
         snapshot: StateSnapshot,
         config: TransferConfig,
         now: float,
+        bandwidth: float = 0.0,
     ) -> None:
         self.group = group
         self.client = client
@@ -348,7 +354,10 @@ class OutgoingTransfer:
         self.payload = frames.payload_of(snapshot)
         self.total_bytes = len(self.payload)
         self._config = config
-        self.chunk_bytes = self._clamp(config.initial_chunk_bytes)
+        self.chunk_bytes = self._clamp(
+            bandwidth * config.target_chunk_seconds if bandwidth > 0.0
+            else config.initial_chunk_bytes
+        )
         self.sent_offset = 0
         self.acked_offset = 0
         #: Bytes/sec EWMA from ack arrivals; 0.0 until the first sample.
@@ -376,9 +385,10 @@ class OutgoingTransfer:
         """Current bytes/sec estimate (0.0 before the first ack)."""
         return self._bandwidth
 
-    def _clamp(self, size: int) -> int:
+    def _clamp(self, size: float) -> int:
         cfg = self._config
-        return max(cfg.chunk_floor_bytes, min(cfg.chunk_ceiling_bytes, size))
+        # int() last: a sample over a vanishing gap is inf
+        return int(max(cfg.chunk_floor_bytes, min(cfg.chunk_ceiling_bytes, size)))
 
     # -- planning ---------------------------------------------------------
 
@@ -445,7 +455,7 @@ class OutgoingTransfer:
             else:
                 self._bandwidth += gain * (sample - self._bandwidth)
             self.chunk_bytes = self._clamp(
-                int(self._bandwidth * self._config.target_chunk_seconds)
+                self._bandwidth * self._config.target_chunk_seconds
             )
             self._pending_bytes = 0
             self._last_sample_at = now

@@ -324,6 +324,7 @@ class ReplicatedServerCore(ServerCore):
     # ------------------------------------------------------------------
 
     def handle_connected(self, conn: ConnId, peer: Any, key: str) -> None:
+        super().handle_connected(conn, peer, key)
         if key.startswith("peer:"):
             server_id = key.split(":", 1)[1]
             self._peer_conn[server_id] = conn
@@ -338,6 +339,7 @@ class ReplicatedServerCore(ServerCore):
         if server_id is None:
             super().handle_closed(conn)  # a client connection
             return
+        self._forget_conn(conn)  # its host's link counted it on connect
         if self._peer_conn.get(server_id) == conn:
             del self._peer_conn[server_id]
         if self.is_coordinator:

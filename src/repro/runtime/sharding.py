@@ -404,7 +404,8 @@ class ShardSessions(SessionCore):
         seen = self._intro[conn]
         if shard not in seen:
             seen.add(shard)
-            self._post(shard, ("hello", conn, Hello(client_id=client)))
+            peer = self._conn_addr.get(conn)
+            self._post(shard, ("hello", conn, Hello(client_id=client), peer))
 
     def forget_shard(self, index: int) -> None:
         """A shard restarted with a fresh core: every connection must be
@@ -589,7 +590,7 @@ class ShardWorkerBase(HostBackend):
 
     Mailbox items::
 
-        ("hello",   conn, Hello)          introduce an authenticated client
+        ("hello",   conn, Hello, peer)    introduce an authenticated client
         ("message", conn, Message, epoch) a routed group-scoped request,
                                           stamped with the lease epoch at
                                           routing time
@@ -694,10 +695,11 @@ class ShardWorkerBase(HostBackend):
     def process_item(self, item: tuple) -> None:
         kind = item[0]
         if kind == "hello":
-            _, conn, hello = item
+            _, conn, hello, peer = item
             self.conns.add(conn)
-            # the client has the front's HelloReply: the echo goes unsent
-            self.interpreter.execute([
+            # the shard core learns the peer as a flat core does; the
+            # client has the front's HelloReply: the echo goes unsent
+            self.interpreter.execute(self.core.on_connected(conn, peer=peer) + [
                 effect for effect in self.core.on_message(conn, hello)
                 if type(getattr(effect, "message", None)) is not HelloReply
             ])

@@ -58,12 +58,14 @@ def _transfer_exports():
     from repro.wire import messages
     from repro.wire.messages import TransferPolicy
 
-    # today that is 8 knobs + 5 policies + 3 flags + 3 messages
+    # today that is 8 knobs + 5 policies + 3 flags + 3 messages + the
+    # warm start's paragraph and key
     return (
         list(transfer_knobs())
         + [policy.name for policy in TransferPolicy]
         + [flag for flag in messages.__all__ if flag.startswith("SNAP_")]
         + ["StateChunk", "ChunkAck", "TransferResume"]
+        + ["**Warm start.**", "bandwidth estimate per peer host"]
     )
 
 
@@ -114,6 +116,17 @@ def test_gate_fails_when_a_name_goes_missing(checker, gate, monkeypatch, tmp_pat
     monkeypatch.setitem(checker.GATES, gate, (stripped, required, layer))
     assert checker.main([gate]) == 1
     assert victim in capsys.readouterr().err
+
+
+def test_transfer_gate_fails_when_the_warm_start_goes_undescribed(
+    checker, monkeypatch, tmp_path, capsys
+):
+    doc, required, layer = checker.GATES["transfer"]
+    stripped = tmp_path / doc.name
+    stripped.write_text(doc.read_text().replace("**Warm start.**", ""))
+    monkeypatch.setitem(checker.GATES, "transfer", (stripped, required, layer))
+    assert checker.main(["transfer"]) == 1
+    assert "Warm start" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gate", sorted(EXPECTED))

@@ -11,9 +11,14 @@ Three layers of sans-io unit tests plus a Hypothesis property:
 * property — for arbitrary chunk configurations, update interleavings
   and disconnect points, a chunked join converges to state byte-identical
   to a monolithic FULL join.
+
+The warm start — a transfer opens at the bandwidth the last finished
+transfer to the same peer host measured — is covered at the planner,
+server-core and simulator levels.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +35,15 @@ from repro.core.events import (
     StartTimer,
 )
 from repro.core.server import ServerConfig, ServerCore
-from repro.core.transfer import OutgoingTransfer, TransferConfig, chunk_marker
+from repro.core.transfer import (
+    DEFAULT_TRANSFER,
+    OutgoingTransfer,
+    TransferConfig,
+    chunk_marker,
+    transfer_knobs,
+)
+from repro.sim.harness import CoronaWorld
+from repro.sim.profiles import MODEM_28_8
 from repro.wire import frames
 from repro.wire.messages import (
     SNAP_CHUNKED,
@@ -91,6 +104,15 @@ class TestTransferConfig:
             TransferConfig(bandwidth_gain=0.0)
         with pytest.raises(ValueError):
             TransferConfig(resume_ttl=0.0)
+
+    def test_the_knob_set_is_unchanged(self):
+        # the warm start reuses these knobs; a new one is a contract
+        # change (docs/protocol.md §3.5 and tools/check_docs.py move too)
+        assert transfer_knobs() == (
+            "chunk_threshold_bytes", "initial_chunk_bytes",
+            "chunk_floor_bytes", "chunk_ceiling_bytes", "inflight_chunks",
+            "target_chunk_seconds", "bandwidth_gain", "resume_ttl",
+        )
 
 
 class TestOutgoingTransfer:
@@ -447,6 +469,157 @@ class TestServerChunkedTransfer:
         effects = driver.deliver(joiner2, TransferResume(5, "g", old_id, 0, -1))
         assert any(isinstance(m, ErrorReply)
                    for m in driver.sent_to(joiner2, effects))
+
+
+# --------------------------------------------------------------------------
+# warm start: a transfer opens at its peer host's last measurement
+# --------------------------------------------------------------------------
+
+BALLAST = bytes(range(256)) * 1024  # 256 KiB, the real harness's ballast
+
+
+def _ballast_server():
+    """A default-knob server holding the 256 KiB group "g"; its seeder
+    connects from a host of its own."""
+    clock = ManualClock()
+    driver = CoreDriver(ServerCore(ServerConfig(server_id="s1"), clock))
+    seeder = driver.connect(peer="seed-host")
+    driver.deliver(seeder, Hello(client_id="seeder"))
+    driver.deliver(seeder, CreateGroupRequest(
+        1, "g", False, (ObjectState("o", BALLAST),)
+    ))
+    return driver, clock
+
+
+def _chunked_join(driver, peer, client_id):
+    """Connect *client_id* from *peer* and ask for a chunked join of "g";
+    returns the connection and the first flight of chunks."""
+    conn = driver.connect(peer)
+    driver.deliver(conn, Hello(client_id=client_id))
+    effects = driver.deliver(conn, JoinGroupRequest(
+        2, "g", MemberRole.PRINCIPAL, TransferSpec(chunked=True), False,
+    ))
+    return conn, _chunks_to(driver, conn, effects)
+
+
+def _ack_through(driver, clock, conn, chunks):
+    """Ack each chunk and each chunk it releases, 1 ms apart (a fast
+    link); returns the bytes received."""
+    received = bytearray()
+    while chunks:
+        chunk = chunks.pop(0)
+        assert chunk.offset == len(received)
+        received += chunk.data
+        clock.advance(0.001)
+        chunks += _chunks_to(driver, conn, driver.deliver(
+            conn, ChunkAck("g", chunk.transfer_id, len(received))
+        ))
+    return bytes(received)
+
+
+def _cold_flight():
+    cfg = DEFAULT_TRANSFER
+    return [cfg.initial_chunk_bytes] * cfg.inflight_chunks
+
+
+class TestWarmStart:
+    def test_a_warm_second_join_sends_the_whole_payload_at_once(self):
+        driver, clock = _ballast_server()
+        conn, first = _chunked_join(driver, "lan", "first")
+        assert [len(c.data) for c in first] == _cold_flight()
+        payload = _ack_through(driver, clock, conn, first)
+        _conn, warm = _chunked_join(driver, "lan", "second")
+        # the first next_chunks() call holds every byte: the ceiling
+        # chunk and a short tail
+        assert b"".join(c.data for c in warm) == payload
+        assert [c.last for c in warm] == [False, True]
+        assert len(warm) == math.ceil(
+            len(payload) / DEFAULT_TRANSFER.chunk_ceiling_bytes
+        )
+
+    def test_a_join_from_another_peer_host_still_starts_cold(self):
+        driver, clock = _ballast_server()
+        conn, first = _chunked_join(driver, "lan", "lan-1")
+        _ack_through(driver, clock, conn, first)
+        # a modem beside the LAN client: its link was never measured
+        _modem, flight = _chunked_join(driver, "modem", "modem-1")
+        assert [len(c.data) for c in flight] == _cold_flight()
+        # and the LAN host kept its own estimate
+        _lan, warm = _chunked_join(driver, "lan", "lan-2")
+        assert len(warm[0].data) == DEFAULT_TRANSFER.chunk_ceiling_bytes
+
+    def test_tcp_peers_are_keyed_by_address_without_the_port(self):
+        driver, clock = _ballast_server()
+        conn, first = _chunked_join(driver, "127.0.0.1:40001", "first")
+        _ack_through(driver, clock, conn, first)
+        _conn, warm = _chunked_join(driver, "127.0.0.1:40002", "second")
+        assert len(warm) == 2
+        _conn, cold = _chunked_join(driver, "10.0.0.9:40001", "third")
+        assert [len(c.data) for c in cold] == _cold_flight()
+
+    def test_a_resume_after_a_warm_start_never_resends_acked_bytes(self):
+        driver, clock = _ballast_server()
+        conn, first = _chunked_join(driver, "lan", "first")
+        payload = _ack_through(driver, clock, conn, first)
+        conn, warm = _chunked_join(driver, "lan", "second")
+        acked = _ack_through(driver, clock, conn, warm[:1])
+        assert len(acked) == DEFAULT_TRANSFER.chunk_ceiling_bytes
+        driver.close(conn)
+        back = driver.connect("lan")
+        driver.deliver(back, Hello(client_id="second"))
+        effects = driver.deliver(back, TransferResume(
+            3, "g", warm[0].transfer_id, len(acked), 0
+        ))
+        resumed = _chunks_to(driver, back, effects)
+        assert resumed[0].offset == len(acked)
+        assert acked + b"".join(c.data for c in resumed) == payload
+
+    def test_a_slow_client_behind_a_warm_address_shrinks_after_one_sample(self):
+        # NAT or a proxy: a modem shares its address with a fast client
+        driver, clock = _ballast_server()
+        creator = driver.connect(peer="seed-host")
+        driver.deliver(creator, Hello(client_id="creator"))
+        driver.deliver(creator, CreateGroupRequest(
+            1, "big", False, (ObjectState("o", BALLAST * 8),)
+        ))
+        conn, first = _chunked_join(driver, "nat", "fast")
+        _ack_through(driver, clock, conn, first)
+        slow = driver.connect("nat")
+        driver.deliver(slow, Hello(client_id="slow"))
+        flight = _chunks_to(driver, slow, driver.deliver(slow, JoinGroupRequest(
+            2, "big", MemberRole.PRINCIPAL, TransferSpec(chunked=True), False,
+        )))
+        cfg = DEFAULT_TRANSFER
+        # the fast client's estimate sized the first flight ...
+        assert [len(c.data) for c in flight] == (
+            [cfg.chunk_ceiling_bytes] * cfg.inflight_chunks
+        )
+        acked, later = 0, []
+        for chunk in flight:
+            acked += len(chunk.data)
+            clock.advance(len(chunk.data) / 3600)  # 28.8 kbit/s
+            later += _chunks_to(driver, slow, driver.deliver(
+                slow, ChunkAck("big", chunk.transfer_id, acked)
+            ))
+        # ... and the slow client's first sample replaced it: everything
+        # after that flight is sized by the modem, not by the seed
+        assert later
+        assert {len(c.data) for c in later} == {cfg.chunk_floor_bytes}
+
+    def test_the_link_table_empties_once_every_connection_closes(self):
+        driver, clock = _ballast_server()
+        conn, first = _chunked_join(driver, "lan", "first")
+        _ack_through(driver, clock, conn, first)
+        assert driver.core._links["lan"].bandwidth > 0.0
+        _chunked_join(driver, "lan", "second")
+        _chunked_join(driver, "modem", "third")
+        for open_conn in list(driver.core._conn_addr):
+            driver.close(open_conn)
+            # a host's entry lives exactly as long as its connections
+            assert set(driver.core._links) == set(
+                driver.core._conn_addr.values()
+            )
+        assert driver.core._links == {} and driver.core._conn_addr == {}
 
 
 # --------------------------------------------------------------------------
@@ -933,3 +1106,136 @@ class TestSlowLinksKeepTheirPlan:
         plan += [(c.offset, len(c.data)) for c in pending]
         expected = _interval_only_plan(transfer.total_bytes, config, gaps)
         assert plan == expected
+
+
+# --------------------------------------------------------------------------
+# any warm seed keeps the stream correct and windowed
+# --------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=_CONFIGS,
+    seed=st.one_of(st.just(0.0), st.floats(1e-3, 1e9)),
+    payload_bytes=st.integers(100, 4000),
+    gaps=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=40),
+)
+def test_any_seed_bandwidth_reassembles_the_full_snapshot(
+    config, seed, payload_bytes, gaps
+):
+    """Whatever bandwidth a transfer is seeded with, its chunks
+    reassemble into the FULL snapshot's exact bytes, no chunk leaves
+    while ``inflight_chunks * chunk_bytes`` bytes are unacked, and the
+    seeded first flight itself never exceeds that window.  (A later
+    flight can end past the window when the chunk just grew: the rule
+    is about starting a chunk, as it always was.)"""
+    snapshot = _snapshot(payload_bytes)
+    transfer = OutgoingTransfer(
+        group="g", client="c", transfer_id=1, snapshot=snapshot,
+        config=config, now=0.0, bandwidth=seed,
+    )
+
+    def flight(chunks):
+        window = config.inflight_chunks * transfer.chunk_bytes
+        for chunk in chunks:
+            assert chunk.offset - transfer.acked_offset < window
+        return chunks
+
+    in_flight = flight(transfer.next_chunks())
+    assert transfer.sent_offset <= config.inflight_chunks * transfer.chunk_bytes
+    received, now, pauses = bytearray(), 0.0, itertools.cycle(gaps)
+    while in_flight:
+        chunk = in_flight.pop(0)
+        assert chunk.offset == len(received)
+        received += chunk.data
+        now += next(pauses)
+        in_flight += flight(transfer.on_ack(len(received), now))
+    assert transfer.done
+    assert bytes(received) == frames.payload_of(snapshot)
+
+
+# --------------------------------------------------------------------------
+# the simulator: one link per client host
+# --------------------------------------------------------------------------
+
+def _first_chunk_bytes(client):
+    """Bytes of the first chunk of *client*'s latest chunked join."""
+    progress = client.events_of_kind(NOTIFY_TRANSFER_PROGRESS)
+    return progress[-1].received_bytes if progress else None
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+def test_sim_lan_client_warms_up_a_modem_client_stays_cold(sharded):
+    world = CoronaWorld()
+    if sharded:
+        server = world.add_sharded_server(shards=2)
+        cores = [worker.core for worker in server.host.workers]
+    else:
+        server = world.add_server()
+        cores = [server.core]
+    world.add_segment("modem", MODEM_28_8)
+    seeder = world.add_client(host_id="seeder")
+    world.run()
+    seeder.call("create_group", "g", True, (ObjectState("o", bytes(70_000)),))
+    world.run()
+    lan = world.add_client(host_id="lan")
+    modem = world.add_client(
+        host_id="modem", segment="modem", request_timeout=600.0
+    )
+    world.run()
+
+    def join(client):
+        seen = len(client.events_of_kind(NOTIFY_TRANSFER_PROGRESS))
+        call = client.call("join_group", "g", transfer=TransferSpec(chunked=True))
+        world.run()
+        assert call.ok, call.error
+        return client.events_of_kind(NOTIFY_TRANSFER_PROGRESS)[seen].received_bytes
+
+    cold = DEFAULT_TRANSFER.initial_chunk_bytes
+    assert join(lan) == cold
+    lan.call("leave_group", "g")
+    world.run()
+    assert join(lan) > cold  # the same host again: warm
+    assert join(modem) == cold  # a host of its own: cold
+    for client in (seeder, lan, modem):
+        client.host.crash()
+    world.run()
+    for core in cores:
+        assert core._links == {} and core._conn_addr == {}
+    if sharded:
+        assert server.host.sessions._conn_addr == {}
+
+
+def test_sim_replicated_server_warms_up_and_forgets_closed_hosts():
+    world = CoronaWorld()
+    cluster = world.add_replicated_cluster(
+        2, heartbeat_interval=0.5, suspicion_timeout=1.0
+    )
+    world.run_for(1.0)
+    core = cluster[1].core
+    seeder = world.add_client(host_id="seeder", server="srv-1")
+    lan = world.add_client(host_id="lan", server="srv-1")
+    world.run_for(0.5)
+    seeder.call("create_group", "g", True, (ObjectState("o", bytes(70_000)),))
+    world.run_for(0.5)
+
+    def join():
+        seen = len(lan.events_of_kind(NOTIFY_TRANSFER_PROGRESS))
+        call = lan.call("join_group", "g", transfer=TransferSpec(chunked=True))
+        world.run_for(1.0)
+        assert call.ok, call.error
+        return lan.events_of_kind(NOTIFY_TRANSFER_PROGRESS)[seen].received_bytes
+
+    cold = DEFAULT_TRANSFER.initial_chunk_bytes
+    assert join() == cold
+    lan.call("leave_group", "g")
+    world.run_for(0.5)
+    assert join() > cold  # the same host again: warm
+    for client in (seeder, lan):
+        client.host.crash()
+    world.run_for(1.0)
+    # only the peer server's link stays: its connection is still open
+    assert set(core._links) == {core._host_of(c) for c in core._conn_addr}
+    assert not {"seeder", "lan"} & set(core._links)
+    cluster[0].host.crash()
+    world.run_for(2.0)
+    assert core._links == {} and core._conn_addr == {}

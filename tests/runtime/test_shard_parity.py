@@ -18,13 +18,17 @@ disk, so the comparisons are exact.
 ``TestWireEquivalence`` compares across the other axis: one raw-frame
 session against a flat ``AsyncioHost`` and a ``ShardedHost`` on the
 asyncio driver must put the same decoded messages, in the same order,
-on every client's connection.
+on every client's connection — chunked joins included, so a shard core
+must key each connection's link to its peer host exactly as a flat core
+does for the second join to open warm on both.
 """
 
 import asyncio
+import math
 import random
 
 from repro.core.server import ServerConfig, ServerCore
+from repro.core.transfer import DEFAULT_TRANSFER
 from repro.net.memory import MemoryNetwork
 from repro.net.tcp import TcpTransport
 from repro.runtime.client import CoronaClient
@@ -36,14 +40,18 @@ from repro.wire.messages import (
     AcquireLockRequest,
     BcastStateRequest,
     BcastUpdateRequest,
+    ChunkAck,
     CreateGroupRequest,
     GetMembershipRequest,
     Hello,
     JoinGroupRequest,
     LeaveGroupRequest,
     MembershipReply,
+    ObjectState,
     PingRequest,
     ReleaseLockRequest,
+    StateChunk,
+    TransferSpec,
 )
 
 SHARDS = 3
@@ -254,6 +262,10 @@ def _groups_on_distinct_shards(count):
 
 
 WIRE_GROUPS = _groups_on_distinct_shards(3)
+#: A 256 KiB group joined chunked, twice, from the one peer host every
+#: in-memory connection shares.
+WIRE_BIG = "wire-big"
+WIRE_BALLAST = bytes(range(256)) * 1024
 WIRE_MEMBERS = {
     "alice": WIRE_GROUPS[:2],
     "bob": [WIRE_GROUPS[0], WIRE_GROUPS[2]],
@@ -289,6 +301,19 @@ def _wire_script():
         kind = rng.choice([BcastUpdateRequest, BcastStateRequest])
         obj, data = f"o{rng.randrange(3)}", b"%d" % i
         ask(client, lambda r: kind(r, group, obj, data))
+    # ("transfer", client): read the chunk stream to its last chunk,
+    # acking each chunk on arrival as a client core does; the group-
+    # routed barrier queues behind the last ack, so the next join sees
+    # the transfer done
+    ask("alice", lambda r: CreateGroupRequest(
+        r, WIRE_BIG, initial_state=(ObjectState("o", WIRE_BALLAST),)))
+    for client in ("alice", "bob"):
+        ask(client, lambda r: JoinGroupRequest(
+            r, WIRE_BIG, transfer=TransferSpec(chunked=True)), wait=False)
+        steps.append(("transfer", client))
+        ask(client, lambda r: GetMembershipRequest(r, WIRE_BIG))
+    for client in ("bob", "alice"):
+        ask(client, lambda r: LeaveGroupRequest(r, WIRE_BIG))
     ask("alice", lambda r: AcquireLockRequest(r, g0, "o0"))
     # bob blocks behind alice's lock: granted when she releases it
     queued = ask("bob", lambda r: AcquireLockRequest(r, g0, "o0"), wait=False)
@@ -323,16 +348,43 @@ async def _read_until(conn, stream, rid):
             return
 
 
+async def _read_transfer(conn, stream):
+    while True:
+        message = await conn.receive()
+        assert message is not None, "connection closed mid-transfer"
+        stream.append(message)
+        if type(message) is StateChunk:
+            await conn.send(ChunkAck(
+                message.group, message.transfer_id,
+                message.offset + len(message.data),
+            ))
+            if message.last:
+                return
+
+
+class StepClock:
+    """Moves 1 µs per reading: the script is serial, so both hosts read
+    it in the same order and a transfer's bandwidth samples — hence its
+    chunk plan — come out identical, and non-zero."""
+
+    def __init__(self) -> None:
+        self._now = 0.0
+
+    def now(self) -> float:
+        self._now += 1e-6
+        return self._now
+
+
 def _drive_wire(sharded):
     async def main():
         net = MemoryNetwork()
         config = ServerConfig(server_id="server", persist=False)
         if sharded:
             host = ShardedHost(
-                config, net, shards=WIRE_SHARDS, core_clock=FixedClock()
+                config, net, shards=WIRE_SHARDS, core_clock=StepClock()
             )
         else:
-            host = AsyncioHost(ServerCore(config, clock=FixedClock()), net)
+            host = AsyncioHost(ServerCore(config, clock=StepClock()), net)
         await host.listen("srv")
         conns, streams = {}, {}
         for client in WIRE_MEMBERS:
@@ -344,6 +396,8 @@ def _drive_wire(sharded):
             if step[0] == "wait":
                 _, client, rid = step
                 await _read_until(conns[client], streams[client], rid)
+            elif step[0] == "transfer":
+                await _read_transfer(conns[step[1]], streams[step[1]])
             elif step[0] == "close":
                 await conns[step[1]].close()
             else:
@@ -363,6 +417,17 @@ class TestWireEquivalence:
         sharded = _drive_wire(sharded=True)
         for client in WIRE_MEMBERS:
             assert sharded[client] == flat[client], client
+        # the first chunked join starts cold, the second opens at the
+        # link the first measured: the ceiling chunk and a short tail
+        cold, warm = (
+            [len(m.data) for m in flat[client] if type(m) is StateChunk]
+            for client in ("alice", "bob")
+        )
+        assert cold[0] == DEFAULT_TRANSFER.initial_chunk_bytes
+        assert sum(cold) == sum(warm) > len(WIRE_BALLAST)
+        assert len(warm) == math.ceil(
+            sum(warm) / DEFAULT_TRANSFER.chunk_ceiling_bytes
+        ) < len(cold)
         # the session did what it says: broadcasts fanned out, carol's
         # leaves and close reached the others, each stream ends at its
         # barrier, and the barrier no longer lists carol

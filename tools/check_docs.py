@@ -13,8 +13,9 @@ wire message cannot ship without its documentation:
               code and its counter, the lease-discipline deepcheck rule
               and the strip-the-edge helper.
 ``transfer``  docs/protocol.md §3.5 — every ``TransferConfig`` knob,
-              ``TransferPolicy`` value, ``SNAP_*`` flag and the three
-              transfer wire messages.
+              ``TransferPolicy`` value, ``SNAP_*`` flag, the three
+              transfer wire messages, and the warm start (a behaviour,
+              not a name: its paragraph lead-in and its key).
 ``effects``   docs/architecture.md §1-2 — every ``Effect`` subclass
               ``repro.core.events`` exports.
 
@@ -36,6 +37,9 @@ DOCS = Path(__file__).resolve().parents[1] / "docs"
 PHASES = ("freezing", "installing")
 
 _TRANSFER_MESSAGES = ("StateChunk", "ChunkAck", "TransferResume")
+#: The warm start has no knob of its own, so the gate asks for its
+#: description: the §3.5.2 paragraph and what the estimate is keyed by.
+_TRANSFER_BEHAVIOUR = ("**Warm start.**", "bandwidth estimate per peer host")
 
 
 def _flow_names() -> list[str]:
@@ -67,7 +71,7 @@ def _transfer_names() -> list[str]:
     names = list(transfer_knobs())
     names += [policy.name for policy in messages.TransferPolicy]
     names += [flag for flag in messages.__all__ if flag.startswith("SNAP_")]
-    names += list(_TRANSFER_MESSAGES)
+    names += list(_TRANSFER_MESSAGES) + list(_TRANSFER_BEHAVIOUR)
     return names
 
 
