@@ -31,6 +31,7 @@ from typing import Any
 from repro.core.clock import Clock
 from repro.core.errors import (
     CoronaError,
+    NotAMemberError,
     NotConnectedError,
     ProtocolError,
     RequestTimeoutError,
@@ -332,6 +333,8 @@ class ClientCore(ProtocolCore):
         #: In-flight chunked transfers, keyed by group (at most one per
         #: group; a newer join supersedes).
         self._transfers: dict[GroupId, _IncomingTransfer] = {}
+        #: The group of each in-flight leave; its ``Ack`` drops the group.
+        self._leaving: dict[RequestId, GroupId] = {}
 
     # ------------------------------------------------------------------
     # connection lifecycle
@@ -434,8 +437,15 @@ class ClientCore(ProtocolCore):
         return request_id
 
     def leave_group(self, group: GroupId) -> RequestId:
-        """``leaveGroup()``: leave unobtrusively."""
-        return self._request("leave", lambda rid: LeaveGroupRequest(rid, group))
+        """``leaveGroup()``: leave unobtrusively.  Once the server acks,
+        the core forgets the group's replica (the application keeps any
+        :class:`GroupView` it holds) and a reconnect no longer rejoins it;
+        a failed leave keeps everything."""
+        request_id = self._request(
+            "leave", lambda rid: LeaveGroupRequest(rid, group)
+        )
+        self._leaving[request_id] = group
+        return request_id
 
     def get_membership(self, group: GroupId) -> RequestId:
         """``getMembership()``: query the current member list."""
@@ -609,6 +619,9 @@ class ClientCore(ProtocolCore):
 
     def _on_ack(self, message: Ack) -> None:
         kind = self._pending.get(message.request_id, "")
+        left = self._leaving.pop(message.request_id, None)
+        if left is not None:
+            self._forget_group(left)
         pending = self._pending_bcast.pop(message.request_id, None)
         if pending is not None:
             group, mode, update_kind, object_id, data = pending
@@ -617,6 +630,23 @@ class ClientCore(ProtocolCore):
                 if view is not None:
                     view.pending_exclusive.append((update_kind, object_id, data))
         self._finish(message.request_id, kind, value=None)
+
+    def _forget_group(self, group: GroupId) -> None:
+        """The server acked our leave: drop the replica and any rejoin
+        mark, and end a join still streaming its state at once: the
+        server dropped its side of the transfer, and the chunks this
+        ``Ack`` overtook on the server's bulk lane find no transfer here
+        and are ignored."""
+        self.views.pop(group, None)
+        self._rejoining.discard(group)
+        transfer = self._transfers.pop(group, None)
+        if transfer is not None:
+            self._finish(
+                transfer.request_id, transfer.kind,
+                error=NotAMemberError(
+                    f"left {group!r} before its state transfer completed"
+                ),
+            )
 
     def _on_delivery(self, message: Delivery) -> None:
         transfer = self._transfers.get(message.group)
@@ -860,6 +890,7 @@ class ClientCore(ProtocolCore):
         if self._pending.pop(request_id, None) is None:
             return  # already completed (late reply after timeout)
         self._join_params.pop(request_id, None)
+        self._leaving.pop(request_id, None)
         if error is not None:
             # A join that dies takes its half-done transfer with it; the
             # server-side session expires via its own TTL.

@@ -81,9 +81,9 @@ class CoronaClient:
         """Dial a Corona server and complete the Hello handshake.
 
         With ``auto_reconnect`` the client redials after a connection
-        loss (exponential backoff) and rejoins every group with an
-        incremental ``SINCE_SEQNO`` state transfer; the application sees
-        "disconnected" then "rejoined" events.
+        loss (exponential backoff) and rejoins every group it has not left
+        with an incremental ``SINCE_SEQNO`` state transfer; the application
+        sees "disconnected" then "rejoined" events.
         """
         core = ClientCore(
             ClientConfig(
@@ -117,7 +117,11 @@ class CoronaClient:
         return self.core.config.client_id
 
     def view(self, group: str) -> GroupView:
-        """The local replica of a joined group's shared state."""
+        """The local replica of a joined group's shared state.
+
+        Raises ``KeyError`` once a leave of *group* has been acked: the
+        client no longer keeps that replica (a ``GroupView`` the app got
+        from :meth:`join_group` stays valid, just no longer updated)."""
         return self.core.views[group]
 
     # ------------------------------------------------------------------
@@ -211,7 +215,7 @@ class CoronaClient:
         )
 
     async def leave_group(self, group: str) -> None:
-        """Leave a group unobtrusively."""
+        """Leave a group unobtrusively; the client drops its replica."""
         await self._request("leave_group", group)
 
     async def get_membership(self, group: str) -> tuple:

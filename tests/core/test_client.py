@@ -6,6 +6,7 @@ from repro.core.client import ClientConfig, ClientCore, GroupView
 from repro.core.clock import ManualClock
 from repro.core.errors import (
     NoSuchGroupError,
+    NotAMemberError,
     NotConnectedError,
     ProtocolError,
     RequestTimeoutError,
@@ -234,6 +235,40 @@ class TestJoinAndViews:
         driver.deliver(conn, GroupDeletedNotice("g"))
         assert "g" not in driver.core.views
         assert driver.notifications("group_deleted")
+
+    def test_acked_leave_drops_the_view(self):
+        driver, conn = _client()
+        _joined(driver, conn)
+        leave = driver.invoke("leave_group", "g")
+        assert "g" in driver.core.views  # not before the server agrees
+        driver.deliver(conn, Ack(leave))
+        assert "g" not in driver.core.views
+        assert not driver.core._leaving
+
+    @pytest.mark.parametrize("fail", ["error", "timeout", "disconnect"])
+    def test_failed_leave_keeps_the_view(self, fail):
+        driver, conn = _client()
+        _joined(driver, conn)
+        leave = driver.invoke("leave_group", "g")
+        if fail == "error":
+            driver.deliver(conn, ErrorReply(leave, NotAMemberError.code, ""))
+        elif fail == "timeout":
+            driver.fire_timer(f"req-{leave}")
+        else:
+            driver.close(conn)
+        assert "g" in driver.core.views
+        assert not driver.core._leaving
+        (reply,) = [n.payload for n in driver.notifications("reply")
+                    if n.payload.request_id == leave]
+        assert not reply.ok
+
+    def test_late_ack_of_a_timed_out_leave_keeps_the_view(self):
+        driver, conn = _client()
+        _joined(driver, conn)
+        leave = driver.invoke("leave_group", "g")
+        driver.fire_timer(f"req-{leave}")
+        driver.deliver(conn, Ack(leave))
+        assert "g" in driver.core.views  # the app was told it failed
 
     def test_fifo_checked_per_sender(self):
         driver, conn = _client()

@@ -6,6 +6,7 @@ from repro.core.client import ClientConfig, ClientCore
 from repro.core.clock import ManualClock
 from repro.core.events import OpenConnection, StartTimer
 from repro.wire.messages import (
+    Ack,
     Hello,
     HelloReply,
     JoinGroupRequest,
@@ -100,6 +101,22 @@ class TestRejoin:
         assert join.notify_membership is True
         assert join.transfer.policy is TransferPolicy.SINCE_SEQNO
         assert join.transfer.since_seqno == 6  # next_seqno - 1
+
+    def test_a_left_group_is_not_rejoined(self):
+        driver, core, conn = _client()
+        _join(driver, conn, group="room")
+        _join(driver, conn, group="kept")
+        leave = driver.invoke("leave_group", "room")
+        driver.deliver(conn, Ack(leave))
+        driver.close(conn)
+        conn2 = driver.connect(key="server")
+        driver.clear()
+        driver.deliver(conn2, HelloReply(server_id="s1"))
+        joins = [
+            m.group for m in driver.sent_to(conn2)
+            if isinstance(m, JoinGroupRequest)
+        ]
+        assert joins == ["kept"]
 
     def test_hello_resent_on_each_reconnect(self):
         driver, core, conn = _client()

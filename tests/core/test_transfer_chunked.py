@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.client import ClientConfig, ClientCore
 from repro.core.clock import ManualClock
-from repro.core.errors import ProtocolError
+from repro.core.errors import NotAMemberError, ProtocolError
 from repro.core.events import (
     NOTIFY_TRANSFER_PROGRESS,
     CloseConnection,
@@ -48,6 +48,7 @@ from repro.wire import frames
 from repro.wire.messages import (
     SNAP_CHUNKED,
     SNAP_DELTA,
+    Ack,
     BcastUpdateRequest,
     ChunkAck,
     CreateGroupRequest,
@@ -748,6 +749,34 @@ class TestClientReassembly:
         for chunk in chunks[1:]:
             driver.deliver(conn, chunk)
         assert core.views["g"].state.get("o").materialized() == b"\xab" * 500
+
+    def test_a_leave_acked_mid_transfer_ends_the_join_at_once(self):
+        driver, core, conn = _client_driver()
+        snapshot = _snapshot(payload_bytes=500)
+        rid = _marker_join(driver, conn, snapshot)
+        driver.deliver(conn, _payload_chunks(snapshot, 128)[0])
+        leave = driver.invoke("leave_group", "g")
+        driver.clear()
+        driver.deliver(conn, Ack(leave))
+        replies = {n.payload.request_id: n.payload
+                   for n in driver.notifications("reply")}
+        assert isinstance(replies[rid].error, NotAMemberError)
+        assert replies[leave].ok
+        assert f"req-{rid}" in {t.key for t in driver.timers_cancelled()}
+        assert not core._transfers and not core._pending
+        assert "g" not in core.views
+
+    def test_chunks_after_an_acked_leave_are_ignored(self):
+        driver, core, conn = _client_driver()
+        snapshot = _snapshot(payload_bytes=500)
+        _marker_join(driver, conn, snapshot)
+        chunks = _payload_chunks(snapshot, 128)
+        driver.deliver(conn, chunks[0])
+        driver.deliver(conn, Ack(driver.invoke("leave_group", "g")))
+        driver.clear()
+        for chunk in chunks[1:]:  # queued behind the Ack on the bulk lane
+            assert driver.deliver(conn, chunk) == []
+        assert "g" not in core.views and not core._transfers
 
     def test_reconnect_sends_resume_with_byte_cursor(self):
         driver, core, conn = _client_driver()

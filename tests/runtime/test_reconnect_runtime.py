@@ -61,3 +61,39 @@ def test_reconnect_is_opt_in(tmp_path):
         await client.close()
 
     asyncio.run(main())
+
+
+def test_a_left_group_is_not_rejoined_over_tcp():
+    async def main():
+        server = CoronaServer()
+        address = await server.start("127.0.0.1", 0)
+        owner = await CoronaClient.connect(address, "owner")
+        for group in ("kept", "left"):
+            await owner.create_group(group)
+            await owner.join_group(group)  # keeps the group alive
+
+        client = await CoronaClient.connect(
+            address, "resilient", auto_reconnect=True, reconnect_backoff=0.05,
+        )
+        await client.join_group("kept")
+        await client.join_group("left")
+        await client.leave_group("left")
+        rejoined = []
+        back = asyncio.Event()
+        client.on_event("rejoined", lambda view: rejoined.append(view.name))
+        client.on_event("rejoined", lambda _view: back.set())
+
+        server.host.close_connection(server.core._client_conn["resilient"])
+        await asyncio.wait_for(back.wait(), 10)
+        # sent after every rejoin the reconnect issued, so answered after
+        members = await client.get_membership("left")
+
+        assert rejoined == ["kept"]
+        assert "resilient" not in {m.client_id for m in members}
+        assert set(client.core.views) == {"kept"}
+
+        for c in (client, owner):
+            await c.close()
+        await server.stop()
+
+    asyncio.run(asyncio.wait_for(main(), 30))
