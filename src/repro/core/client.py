@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.clock import Clock
 from repro.core.errors import (
     CoronaError,
+    NoSuchGroupError,
     NotAMemberError,
     NotConnectedError,
     ProtocolError,
@@ -178,49 +179,53 @@ class TransferProgress:
     total_bytes: int
 
 
-@dataclass
-class _IncomingTransfer:
-    """Client-side reassembly state of one chunked join transfer.
+@dataclass(slots=True, eq=False)
+class _Join:
+    """One join (or automatic rejoin) request, from send to its one end:
+    :meth:`ClientCore._install` (a monolithic reply or a completed chunk
+    stream) or the error path of :meth:`ClientCore._finish`.
 
-    Lives from the ``SNAP_CHUNKED`` marker :class:`JoinReply` until the
-    final chunk decodes (or the transfer is abandoned).  Survives a
-    connection loss so the client can ``TransferResume`` from
-    ``received_bytes`` — the first byte it does not have — instead of
-    restarting.
-
-    Chunks are kept as received and joined once at the end: one copy of
-    the payload, and no allocation sized by the server's ``total_bytes``.
+    A ``SNAP_CHUNKED`` marker makes it its group's *stream* and sets the
+    fields below.  A stream survives a connection loss, to
+    ``TransferResume`` from ``received_bytes``; its chunks are joined
+    once at the end (one copy, no allocation sized by ``total_bytes``).
     """
 
-    group: GroupId
-    marker: StateSnapshot
-    #: The app-facing join/rejoin request this transfer will complete.
     request_id: RequestId
-    kind: str  # "join" or "rejoin"
+    group: GroupId
     role: MemberRole
     notify_membership: bool
     spec: TransferSpec
-    members: tuple[MemberInfo, ...] = ()
+    kind: str  # "join" or "rejoin"
+    marker: StateSnapshot = field(init=False, repr=False)
+    members: tuple[MemberInfo, ...] = field(init=False, repr=False)
     #: Learned from the first chunk (the marker does not carry them).
-    transfer_id: int = -1
-    total_bytes: int = 0
-    chunks: list[bytes] = field(default_factory=list)
-    received_bytes: int = 0
+    transfer_id: int = field(init=False, repr=False)
+    total_bytes: int = field(init=False, repr=False)
+    chunks: list[bytes] = field(init=False, repr=False)
+    received_bytes: int = field(init=False, repr=False)
     #: Live deliveries that arrived during the transfer — already
     #: surfaced to the application via ``NOTIFY_DELIVERY`` — replayed
     #: into the replica once the final chunk decodes.
     buffered: list[tuple[UpdateRecord, tuple[SeqNo, ...]]] = field(
-        default_factory=list
+        init=False, repr=False
     )
     #: In-flight ``TransferResume`` handshake, when one is pending.
-    resume_request_id: RequestId = 0
+    resume_request_id: RequestId = field(init=False, repr=False)
+
+    def open_stream(self, reply: JoinReply) -> None:
+        """Start (or, after a restart, restart) reassembling the stream
+        the marker *reply* announces."""
+        self.marker, self.members = reply.snapshot, reply.members
+        self.transfer_id, self.total_bytes, self.received_bytes = -1, 0, 0
+        self.chunks, self.buffered = [], []
+        self.resume_request_id = 0
 
     @property
     def have_seqno(self) -> SeqNo:
         """Newest seqno this client holds for the group (for resume)."""
-        if self.buffered:
-            return self.buffered[-1][0].seqno
-        return self.marker.next_seqno - 1
+        return (self.buffered[-1][0].seqno if self.buffered
+                else self.marker.next_seqno - 1)
 
 
 @dataclass
@@ -325,14 +330,18 @@ class ClientCore(ProtocolCore):
         self._address: Any = None
         self._address_rotation = 0
         self._backoff = config.reconnect_backoff
-        self._rejoining: set[GroupId] = set()
         self._request_ids = itertools.count(1)
         self._pending: dict[RequestId, str] = {}
         self._pending_bcast: dict[RequestId, tuple[GroupId, DeliveryMode, UpdateKind, str, bytes]] = {}
-        self._join_params: dict[RequestId, tuple[MemberRole, bool, TransferSpec]] = {}
-        #: In-flight chunked transfers, keyed by group (at most one per
-        #: group; a newer join supersedes).
-        self._transfers: dict[GroupId, _IncomingTransfer] = {}
+        #: Every pending join and rejoin, by request id.
+        self._joins: dict[RequestId, _Join] = {}
+        #: The join whose chunk stream each group is receiving.  Keyed
+        #: apart from ``_joins``: a client may pipeline join, leave, join
+        #: of one group, and only the join that got a marker streams.
+        self._streams: dict[GroupId, _Join] = {}
+        #: Per group, how many streams this connection abandoned before
+        #: their first chunk arrived (see :meth:`_on_state_chunk`).
+        self._unstarted: dict[GroupId, int] = {}
         #: The group of each in-flight leave; its ``Ack`` drops the group.
         self._leaving: dict[RequestId, GroupId] = {}
 
@@ -358,20 +367,13 @@ class ClientCore(ProtocolCore):
         was_connected = self.connected
         self._conn = None
         self.connected = False
-        transfer_requests = {
-            t.request_id for t in self._transfers.values()
-        } | {
-            t.resume_request_id for t in self._transfers.values()
-            if t.resume_request_id
-        }
+        self._unstarted.clear()
         for request_id, kind in list(self._pending.items()):
-            if request_id in transfer_requests and kind != "resume":
-                # A join backed by a resumable transfer survives the
-                # disconnect; give it a fresh timeout window to span the
-                # reconnect + resume handshake.
-                self.emit(StartTimer(
-                    request_timer(request_id), self.config.request_timeout
-                ))
+            join = self._joins.get(request_id)
+            if join is not None and self._streams.get(join.group) is join:
+                # A join backed by a resumable stream survives: a fresh
+                # timeout spans the reconnect + resume handshake.
+                self._arm_timeout(request_id)
                 continue
             self._finish(request_id, kind, error=NotConnectedError("connection lost"))
         if was_connected:
@@ -387,19 +389,10 @@ class ClientCore(ProtocolCore):
     def _rejoin_groups(self) -> None:
         """After a reconnect, resynchronize every group we were in."""
         for view in self.views.values():
-            if view.name in self._transfers:
-                continue  # an interrupted chunked rejoin resumes instead
-            self._rejoining.add(view.name)
-            spec = TransferSpec(
+            self._join(view.name, view.role, TransferSpec(
                 policy=TransferPolicy.SINCE_SEQNO,
                 since_seqno=view.next_seqno - 1,
-            )
-            self._request(
-                "rejoin",
-                lambda rid, v=view, s=spec: JoinGroupRequest(
-                    rid, v.name, v.role, s, v.notify_membership
-                ),
-            )
+            ), view.notify_membership, "rejoin")
 
     # ------------------------------------------------------------------
     # requests (each returns its request id)
@@ -428,13 +421,18 @@ class ClientCore(ProtocolCore):
         notify_membership: bool = False,
     ) -> RequestId:
         """``joinGroup()``: join and receive the state per *transfer*."""
-        spec = transfer if transfer is not None else TransferSpec()
-        request_id = self._request(
-            "join",
-            lambda rid: JoinGroupRequest(rid, group, role, spec, notify_membership),
+        return self._join(group, role, transfer or TransferSpec(),
+                          notify_membership, "join")
+
+    def _join(
+        self, group: GroupId, role: MemberRole, spec: TransferSpec,
+        notify: bool, kind: str,
+    ) -> RequestId:
+        rid = self._request(
+            kind, lambda r: JoinGroupRequest(r, group, role, spec, notify)
         )
-        self._join_params[request_id] = (role, notify_membership, spec)
-        return request_id
+        self._joins[rid] = _Join(rid, group, role, notify, spec, kind)
+        return rid
 
     def leave_group(self, group: GroupId) -> RequestId:
         """``leaveGroup()``: leave unobtrusively.  Once the server acks,
@@ -509,8 +507,12 @@ class ClientCore(ProtocolCore):
         request_id = next(self._request_ids)
         self._pending[request_id] = kind
         self.send(self._conn, build(request_id))
-        self.emit(StartTimer(request_timer(request_id), self.config.request_timeout))
+        self._arm_timeout(request_id)
         return request_id
+
+    def _arm_timeout(self, request_id: RequestId) -> None:
+        """(Re)start the timeout of one in-flight request."""
+        self.emit(StartTimer(request_timer(request_id), self.config.request_timeout))
 
     # ------------------------------------------------------------------
     # replies and unsolicited messages
@@ -523,8 +525,8 @@ class ClientCore(ProtocolCore):
             self.server_id = message.server_id
             self._backoff = self.config.reconnect_backoff
             self.emit(Notify(NOTIFY_CONNECTED, message.server_id))
-            if self._transfers:
-                self._resume_transfers()
+            if self._streams:
+                self._resume_streams()
             if reconnecting and self.config.auto_reconnect:
                 self._rejoin_groups()
         elif isinstance(message, Ack):
@@ -541,8 +543,7 @@ class ClientCore(ProtocolCore):
             if kind == "resume":
                 # The server refused the resume (session expired or the
                 # suffix was reduced away): restart the join from scratch.
-                self._pending.pop(message.request_id, None)
-                self.emit(CancelTimer(request_timer(message.request_id)))
+                self._finish(message.request_id, kind)
                 self._resume_rejected(message.request_id)
                 return
             self._pending_bcast.pop(message.request_id, None)
@@ -551,27 +552,7 @@ class ClientCore(ProtocolCore):
                 error=error_from_code(message.code, message.detail),
             )
         elif isinstance(message, JoinReply):
-            group = message.snapshot.group
-            if message.snapshot.flags & SNAP_CHUNKED:
-                self._on_chunk_marker(message)
-            elif group in self._rejoining and group in self.views:
-                self._rejoining.discard(group)
-                view = self.views[group]
-                view.resync(message.snapshot)
-                view.members = message.members
-                self._finish(message.request_id, "rejoin", value=view)
-                self.emit(Notify(NOTIFY_REJOINED, view))
-            else:
-                view = GroupView(name=group)
-                view.apply_snapshot(message.snapshot)
-                view.members = message.members
-                role, notify, _spec = self._join_params.pop(
-                    message.request_id, (MemberRole.PRINCIPAL, False, TransferSpec())
-                )
-                view.role = role
-                view.notify_membership = notify
-                self.views[view.name] = view
-                self._finish(message.request_id, "join", value=view)
+            self._on_join_reply(message)
         elif isinstance(message, MembershipReply):
             self._finish(message.request_id, "membership", value=message.members)
         elif isinstance(message, GroupListReply):
@@ -590,7 +571,7 @@ class ClientCore(ProtocolCore):
                 view.members = message.members
             self.emit(Notify(NOTIFY_MEMBERSHIP, message))
         elif isinstance(message, GroupDeletedNotice):
-            self.views.pop(message.group, None)
+            self._drop_group(message.group, NoSuchGroupError)
             self.emit(Notify(NOTIFY_GROUP_DELETED, message.group))
         elif isinstance(message, RebaseNotice):
             # partition reconciliation replaced the group state: rebuild
@@ -621,7 +602,7 @@ class ClientCore(ProtocolCore):
         kind = self._pending.get(message.request_id, "")
         left = self._leaving.pop(message.request_id, None)
         if left is not None:
-            self._forget_group(left)
+            self._drop_group(left)
         pending = self._pending_bcast.pop(message.request_id, None)
         if pending is not None:
             group, mode, update_kind, object_id, data = pending
@@ -631,37 +612,29 @@ class ClientCore(ProtocolCore):
                     view.pending_exclusive.append((update_kind, object_id, data))
         self._finish(message.request_id, kind, value=None)
 
-    def _forget_group(self, group: GroupId) -> None:
-        """The server acked our leave: drop the replica and any rejoin
-        mark, and end a join still streaming its state at once: the
-        server dropped its side of the transfer, and the chunks this
-        ``Ack`` overtook on the server's bulk lane find no transfer here
-        and are ignored."""
+    def _drop_group(
+        self, group: GroupId, error: type[CoronaError] = NotAMemberError
+    ) -> None:
+        """Our membership of *group* ended: drop the replica, and end a
+        join streaming the group's state with *error*.  A join of the
+        group with no stream yet waits for its own reply."""
         self.views.pop(group, None)
-        self._rejoining.discard(group)
-        transfer = self._transfers.pop(group, None)
-        if transfer is not None:
-            self._finish(
-                transfer.request_id, transfer.kind,
-                error=NotAMemberError(
-                    f"left {group!r} before its state transfer completed"
-                ),
-            )
+        join = self._streams.get(group)
+        if join is not None:
+            self._finish(join.request_id, join.kind, error=error(
+                f"membership of {group!r} ended before its state transfer completed"
+            ))
 
     def _on_delivery(self, message: Delivery) -> None:
-        transfer = self._transfers.get(message.group)
-        if transfer is not None:
+        join = self._streams.get(message.group)
+        view = self.views.get(message.group)
+        if join is not None:
             # Mid-transfer: the replica is not ready, but the application
             # hears the update NOW — that is the whole point of streaming.
             # The record is replayed into the replica after the final
             # chunk decodes.
-            transfer.buffered.append((message.update, message.skipped))
-            self.emit(Notify(
-                NOTIFY_DELIVERY, DeliveryEvent(message.group, message.update)
-            ))
-            return
-        view = self.views.get(message.group)
-        if view is not None:
+            join.buffered.append((message.update, message.skipped))
+        elif view is not None:
             view.apply_delivery(
                 message.update, own_id=self.config.client_id,
                 skipped=message.skipped,
@@ -669,181 +642,154 @@ class ClientCore(ProtocolCore):
         self.emit(Notify(NOTIFY_DELIVERY, DeliveryEvent(message.group, message.update)))
 
     # ------------------------------------------------------------------
-    # chunked state transfer (contract: docs/protocol.md)
+    # join replies and chunked state transfer (contract: docs/protocol.md)
     # ------------------------------------------------------------------
 
-    def _on_chunk_marker(self, message: JoinReply) -> None:
-        """A ``SNAP_CHUNKED`` marker: the snapshot follows as chunks."""
+    def _on_join_reply(self, message: JoinReply) -> None:
         group = message.snapshot.group
-        kind = self._pending.get(message.request_id)
-        if kind == "resume":
-            transfer = self._transfers.get(group)
-            if transfer is not None:
-                # Resume accepted: keep the reassembled bytes, refresh
-                # the membership view, give the app request fresh time.
-                transfer.members = message.members
-                transfer.resume_request_id = 0
-                if transfer.request_id in self._pending:
-                    self.emit(StartTimer(
-                        request_timer(transfer.request_id),
-                        self.config.request_timeout,
-                    ))
+        chunked = message.snapshot.flags & SNAP_CHUNKED
+        if chunked and self._pending.get(message.request_id) == "resume":
+            # Resume accepted: keep the reassembled bytes, refresh the
+            # membership view, give the join fresh time (unless the
+            # resume timed out and the join restarted meanwhile).
+            join = self._streams.get(group)
+            if join is not None:
+                join.members = message.members
+                join.resume_request_id = 0
+                self._arm_timeout(join.request_id)
             self._finish(message.request_id, "resume", value=group)
             return
-        if kind not in ("join", "rejoin"):
-            return  # late marker for a request that already completed
-        if kind == "rejoin":
-            view = self.views.get(group)
-            role = view.role if view is not None else MemberRole.PRINCIPAL
-            notify = view.notify_membership if view is not None else False
-            spec = TransferSpec(
-                policy=TransferPolicy.SINCE_SEQNO,
-                since_seqno=(view.next_seqno - 1) if view is not None else -1,
-                chunked=True,
-                allow_delta=True,
-            )
-        else:
-            role, notify, spec = self._join_params.get(
-                message.request_id, (MemberRole.PRINCIPAL, False, TransferSpec())
-            )
-        self._transfers[group] = _IncomingTransfer(
-            group=group,
-            marker=message.snapshot,
-            request_id=message.request_id,
-            kind=kind,
-            role=role,
-            notify_membership=notify,
-            spec=spec,
-            members=message.members,
-        )
-        # The join request stays pending until the final chunk decodes;
-        # chunk arrivals re-arm its timeout below.
-        self.emit(StartTimer(
-            request_timer(message.request_id), self.config.request_timeout
-        ))
+        join = self._joins.get(message.request_id)
+        if join is None:
+            # The join already ended (it timed out): ignore its reply,
+            # and skip the chunks a marker announces.
+            if chunked:
+                self._skip_stream(group)
+            return
+        if group in self._streams:
+            # The server took this join, so our membership ended since
+            # that stream began (a leave acked after it timed out).
+            self._drop_group(group)
+        if not chunked:
+            self._install(join, message.snapshot, message.members)
+            return
+        # The snapshot follows as chunks; the join stays pending until
+        # the final one decodes, and chunk arrivals re-arm its timeout.
+        join.open_stream(message)
+        self._streams[join.group] = join
+        self._arm_timeout(join.request_id)
+
+    def _skip_stream(self, group: GroupId) -> None:
+        """No chunk has arrived yet of a stream of *group* this client
+        will not read: skip its first chunk when it does."""
+        self._unstarted[group] = self._unstarted.get(group, 0) + 1
 
     def _on_state_chunk(self, conn: ConnId, message: StateChunk) -> None:
-        transfer = self._transfers.get(message.group)
-        if transfer is None:
-            return  # abandoned transfer — stale chunk, drop
-        if transfer.transfer_id < 0:
-            transfer.transfer_id = message.transfer_id
-            transfer.total_bytes = message.total_bytes
-        elif message.transfer_id != transfer.transfer_id:
-            return  # chunk from a superseded transfer
-        have = transfer.received_bytes
+        group = message.group
+        if message.offset == 0 and group in self._unstarted:
+            # The first chunk of a stream skipped before it arrived.
+            # The bulk lane is FIFO per connection, so every chunk of a
+            # skipped stream comes before any later join's; its later
+            # chunks are never at offset 0 and are dropped below.
+            left = self._unstarted.pop(group) - 1
+            if left:
+                self._unstarted[group] = left
+            return
+        join = self._streams.get(group)
+        if join is None:
+            return  # no stream: the tail of an abandoned one
+        if join.transfer_id < 0 and not message.offset:
+            join.transfer_id = message.transfer_id
+            join.total_bytes = message.total_bytes
+        if message.transfer_id != join.transfer_id:
+            return  # the tail of a stream abandoned mid-way
+        have = join.received_bytes
         if message.offset < have:
             return  # duplicate overlap after a resume race
         if message.offset > have:
-            raise ProtocolError(
-                f"chunk gap at byte {have} in transfer for {message.group!r}"
-            )
+            raise ProtocolError(f"chunk gap at byte {have} in transfer for {group!r}")
         have += len(message.data)
-        total = transfer.total_bytes
+        total = join.total_bytes
         if (message.total_bytes != total or have > total
                 or message.last != (have == total)):
             raise ProtocolError(
                 f"chunk ending at byte {have} of {message.total_bytes} "
                 f"(last={message.last}) does not fit the {total}-byte "
-                f"transfer for {message.group!r}"
+                f"transfer for {group!r}"
             )
-        transfer.chunks.append(message.data)
-        transfer.received_bytes = have
-        self.send(conn, ChunkAck(message.group, transfer.transfer_id, have))
-        if transfer.request_id in self._pending:
-            # progress resets the request timeout — a long transfer is
-            # not a stuck one
-            self.emit(StartTimer(
-                request_timer(transfer.request_id), self.config.request_timeout
-            ))
+        join.chunks.append(message.data)
+        join.received_bytes = have
+        self.send(conn, ChunkAck(group, join.transfer_id, have))
+        # progress resets the request timeout — a long transfer is not
+        # a stuck one
+        self._arm_timeout(join.request_id)
         self.emit(Notify(NOTIFY_TRANSFER_PROGRESS, TransferProgress(
-            message.group, have, total
+            group, have, total
         )))
         if message.last:
-            self._complete_transfer(transfer)
+            del self._streams[group]
+            snapshot = codec.decode(b"".join(join.chunks))
+            if not isinstance(snapshot, StateSnapshot):
+                raise ProtocolError(f"chunk stream for {group!r} is a "
+                                    f"{type(snapshot).__name__}, not a snapshot")
+            self._install(join, snapshot, join.members, join.buffered)
 
-    def _complete_transfer(self, transfer: _IncomingTransfer) -> None:
-        """Final chunk arrived: decode, install, replay the catch-up log."""
-        del self._transfers[transfer.group]
-        snapshot = codec.decode(b"".join(transfer.chunks))
-        if not isinstance(snapshot, StateSnapshot):
-            raise ProtocolError(
-                f"chunk stream for {transfer.group!r} decoded to "
-                f"{type(snapshot).__name__}, not StateSnapshot"
-            )
-        view = self.views.get(transfer.group)
-        rejoined = transfer.kind == "rejoin" and view is not None
+    def _install(
+        self, join: _Join, snapshot: StateSnapshot,
+        members: tuple[MemberInfo, ...], buffered: Sequence[tuple] = (),
+    ) -> None:
+        """The one end of a join that succeeded: build the replica from
+        *snapshot* (a rejoin resyncs the one it has), replay the
+        deliveries *buffered* during a stream, finish the request."""
+        view = self.views.get(join.group) if join.kind == "rejoin" else None
+        rejoined = view is not None
         if rejoined:
-            self._rejoining.discard(transfer.group)
             view.resync(snapshot)
         else:
-            view = GroupView(name=transfer.group)
+            view = GroupView(join.group, role=join.role,
+                             notify_membership=join.notify_membership)
             view.apply_snapshot(snapshot)
-            view.role = transfer.role
-            view.notify_membership = transfer.notify_membership
-            self.views[transfer.group] = view
-        view.members = transfer.members
-        for record, skipped in transfer.buffered:
+            self.views[join.group] = view
+        view.members = members
+        for record, skipped in buffered:
             if record.seqno >= view.next_seqno:
                 view.apply_delivery(
                     record, own_id=self.config.client_id, skipped=skipped
                 )
-        self._finish(transfer.request_id, transfer.kind, value=view)
+        self._finish(join.request_id, join.kind, value=view)
         if rejoined:
             self.emit(Notify(NOTIFY_REJOINED, view))
 
-    def _resume_transfers(self) -> None:
-        """After a reconnect, pick every interrupted transfer back up."""
-        for transfer in list(self._transfers.values()):
-            if transfer.transfer_id < 0:
+    def _resume_streams(self) -> None:
+        """After a reconnect, pick every interrupted stream back up."""
+        for join in list(self._streams.values()):
+            if join.transfer_id < 0:
                 # No chunk ever arrived, so there is nothing to resume —
                 # restart the join from scratch.
-                del self._transfers[transfer.group]
-                self._restart_join(transfer)
+                self._restart_join(join)
                 continue
-            rid = self._request(
+            join.resume_request_id = self._request(
                 "resume",
-                lambda r, t=transfer: TransferResume(
-                    r, t.group, t.transfer_id, t.received_bytes, t.have_seqno
+                lambda r, j=join: TransferResume(
+                    r, j.group, j.transfer_id, j.received_bytes, j.have_seqno
                 ),
             )
-            transfer.resume_request_id = rid
 
     def _resume_rejected(self, resume_rid: RequestId) -> None:
-        for group, transfer in list(self._transfers.items()):
-            if transfer.resume_request_id == resume_rid:
-                del self._transfers[group]
-                self._restart_join(transfer)
+        for join in self._streams.values():
+            if join.resume_request_id == resume_rid:
+                self._restart_join(join)
                 return
 
-    def _restart_join(self, transfer: _IncomingTransfer) -> None:
+    def _restart_join(self, join: _Join) -> None:
         """Fall back to a fresh join, reusing the still-pending app
         request so the caller's await completes normally."""
-        if self._conn is None or transfer.request_id not in self._pending:
-            # Can't restart (gone again, or the request already failed);
-            # surface the loss if anyone is still waiting.
-            if transfer.request_id in self._pending:
-                self._finish(
-                    transfer.request_id, transfer.kind,
-                    error=NotConnectedError("connection lost mid-transfer"),
-                )
-            return
-        spec = transfer.spec
-        if transfer.kind == "rejoin":
-            view = self.views.get(transfer.group)
-            since = (view.next_seqno - 1) if view is not None else -1
-            spec = TransferSpec(
-                policy=TransferPolicy.SINCE_SEQNO, since_seqno=since,
-                chunked=True, allow_delta=spec.allow_delta,
-            )
-            self._rejoining.add(transfer.group)
+        del self._streams[join.group]
         self.send(self._conn, JoinGroupRequest(
-            transfer.request_id, transfer.group, transfer.role, spec,
-            transfer.notify_membership,
+            join.request_id, join.group, join.role, join.spec,
+            join.notify_membership,
         ))
-        self.emit(StartTimer(
-            request_timer(transfer.request_id), self.config.request_timeout
-        ))
+        self._arm_timeout(join.request_id)
 
     # ------------------------------------------------------------------
     # timeouts
@@ -866,9 +812,9 @@ class ClientCore(ProtocolCore):
         if kind is None:
             return
         if kind == "resume":
-            # The resume handshake stalled; restart the join instead of
-            # surfacing an error for an internal request.
-            self._pending.pop(request_id, None)
+            # The resume handshake stalled: restart the join.  The resume
+            # stays pending until answered, so that a late marker is not
+            # taken for a join's (_on_join_reply).
             self._resume_rejected(request_id)
             return
         self._pending_bcast.pop(request_id, None)
@@ -889,14 +835,21 @@ class ClientCore(ProtocolCore):
     ) -> None:
         if self._pending.pop(request_id, None) is None:
             return  # already completed (late reply after timeout)
-        self._join_params.pop(request_id, None)
         self._leaving.pop(request_id, None)
-        if error is not None:
-            # A join that dies takes its half-done transfer with it; the
-            # server-side session expires via its own TTL.
-            for group, transfer in list(self._transfers.items()):
-                if transfer.request_id == request_id:
-                    del self._transfers[group]
+        join = self._joins.pop(request_id, None)
+        if join is not None:
+            group = join.group
+            if self._streams.get(group) is join:
+                # A join that ends unfinished abandons its stream (the
+                # server-side session ends with it or expires via its
+                # TTL); _on_state_chunk drops the chunks still in flight.
+                del self._streams[group]
+                if join.transfer_id < 0:
+                    self._skip_stream(group)
+            if isinstance(error, RequestTimeoutError):
+                # The server may take the join even so, and its late
+                # reply is ignored: nothing keeps a replica in step.
+                self.views.pop(group, None)
         self.emit(CancelTimer(request_timer(request_id)))
         if kind == "resume":
             # Internal plumbing of the reconnect path, not an application

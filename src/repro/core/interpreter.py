@@ -365,6 +365,13 @@ class EffectInterpreter:
         stage_chain = self._wrap(self._stage)
         self._batches[effect_type] = (key, flush, stage_chain)
 
+    def unregister_all(self) -> None:
+        """Forget every handler.  Handlers close over their backend, so
+        a host that is done with its interpreter drops them to leave no
+        reference cycle behind."""
+        self._chains.clear()
+        self._batches.clear()
+
     def _wrap(self, handler: Callable[[Effect], None]) -> Callable[[Effect], None]:
         chain = handler
         for mw in reversed(self.middlewares):

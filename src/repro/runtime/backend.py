@@ -71,6 +71,15 @@ class HostBackend(EffectBackend):
         """Effect counters (sends, drops, timers, WAL ops, ...)."""
         return self.interpreter.stats
 
+    def release(self) -> None:
+        """Drop what ties a stopped host into reference cycles — its
+        core, its notify handlers and its interpreter's handlers — so it
+        is freed without the cycle collector.  Nothing runs on the host
+        afterwards."""
+        self.core = None
+        self._notify_handlers.clear()
+        self.interpreter.unregister_all()
+
     # -- EffectBackend: timers --------------------------------------------
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:

@@ -102,9 +102,12 @@ class CoronaClient:
         return client
 
     async def close(self) -> None:
-        """Disconnect and release resources."""
+        """Disconnect and release resources: a closed client is freed
+        without the cycle collector."""
         self._closed = True
         await self.host.stop()
+        self.host.release()
+        self._callbacks.clear()
 
     async def __aenter__(self) -> "CoronaClient":
         return self

@@ -26,7 +26,12 @@ from hypothesis import strategies as st
 
 from repro.core.client import ClientConfig, ClientCore
 from repro.core.clock import ManualClock
-from repro.core.errors import NotAMemberError, ProtocolError
+from repro.core.errors import (
+    NoSuchGroupError,
+    NotAMemberError,
+    ProtocolError,
+    RequestTimeoutError,
+)
 from repro.core.events import (
     NOTIFY_TRANSFER_PROGRESS,
     CloseConnection,
@@ -54,6 +59,7 @@ from repro.wire.messages import (
     CreateGroupRequest,
     Delivery,
     ErrorReply,
+    GroupDeletedNotice,
     Hello,
     HelloReply,
     JoinGroupRequest,
@@ -65,6 +71,8 @@ from repro.wire.messages import (
     TransferPolicy,
     TransferResume,
     TransferSpec,
+    UpdateKind,
+    UpdateRecord,
 )
 from tests.core.helpers import CoreDriver, sends_in
 
@@ -737,7 +745,7 @@ class TestClientReassembly:
         with pytest.raises(ProtocolError):
             core.on_message(conn, tamper(chunks[1]))
         # nothing of the bad chunk was kept or acknowledged
-        assert core._transfers["g"].received_bytes == 128
+        assert core._streams["g"].received_bytes == 128
 
     def test_duplicate_chunk_after_resume_race_is_dropped(self):
         driver, core, conn = _client_driver()
@@ -763,7 +771,7 @@ class TestClientReassembly:
         assert isinstance(replies[rid].error, NotAMemberError)
         assert replies[leave].ok
         assert f"req-{rid}" in {t.key for t in driver.timers_cancelled()}
-        assert not core._transfers and not core._pending
+        assert not core._streams and not core._pending
         assert "g" not in core.views
 
     def test_chunks_after_an_acked_leave_are_ignored(self):
@@ -776,7 +784,7 @@ class TestClientReassembly:
         driver.clear()
         for chunk in chunks[1:]:  # queued behind the Ack on the bulk lane
             assert driver.deliver(conn, chunk) == []
-        assert "g" not in core.views and not core._transfers
+        assert "g" not in core.views and not core._streams
 
     def test_reconnect_sends_resume_with_byte_cursor(self):
         driver, core, conn = _client_driver()
@@ -833,6 +841,255 @@ class TestClientReassembly:
                  if isinstance(m, JoinGroupRequest)]
         assert len(joins) == 1
         assert joins[0].request_id == rid  # the original await completes
+
+
+def _replies(driver):
+    return {n.payload.request_id: n.payload
+            for n in driver.notifications("reply")}
+
+
+class TestClientJoinEndsOnce:
+    """Every join ends exactly once, and a join never adopts a chunk of
+    a stream this client abandoned (docs/protocol.md §3.5.2)."""
+
+    def test_a_deleted_group_ends_a_streaming_join_at_once(self):
+        driver, core, conn = _client_driver()
+        snapshot = _snapshot(payload_bytes=500)
+        rid = _marker_join(driver, conn, snapshot)
+        driver.deliver(conn, _payload_chunks(snapshot, 128)[0])
+        driver.clear()
+        driver.deliver(conn, GroupDeletedNotice("g"))
+        assert isinstance(_replies(driver)[rid].error, NoSuchGroupError)
+        assert f"req-{rid}" in {t.key for t in driver.timers_cancelled()}
+        assert not core._streams and not core._pending and not core._joins
+        assert driver.notifications("group_deleted")
+
+    @staticmethod
+    def _rejoin_after_leaving(driver, conn, old, first_chunks):
+        """Join with stream A, receive *first_chunks* of it, leave, and
+        join again; returns the second join's request id."""
+        _marker_join(driver, conn, old)
+        for chunk in first_chunks:
+            driver.deliver(conn, chunk)
+        driver.deliver(conn, Ack(driver.invoke("leave_group", "g")))
+        return _marker_join(driver, conn, _snapshot(payload_bytes=300))
+
+    @pytest.mark.parametrize("received", [1, 0], ids=[
+        "abandoned-after-its-first-chunk", "abandoned-before-its-first-chunk",
+    ])
+    def test_a_new_join_skips_the_tail_of_an_abandoned_stream(self, received):
+        # The leave's Ack and the new marker ride the control lane, so
+        # they can overtake stream A's chunks queued on the bulk lane.
+        driver, core, conn = _client_driver()
+        old, new = _snapshot(payload_bytes=500), _snapshot(payload_bytes=300)
+        old_chunks = _payload_chunks(old, 128, transfer_id=7)
+        rid = self._rejoin_after_leaving(
+            driver, conn, old, old_chunks[:received]
+        )
+        for chunk in old_chunks[received:]:
+            driver.deliver(conn, chunk)
+        assert "g" not in core.views and rid in core._pending
+        for chunk in _payload_chunks(new, 128, transfer_id=8):
+            driver.deliver(conn, chunk)
+        assert _replies(driver)[rid].ok
+        assert core.views["g"].state.get("o").materialized() == b"\xab" * 300
+        assert not core._streams and not core._unstarted
+
+    def test_a_closed_connection_forgets_abandoned_streams(self):
+        driver, core, conn = _client_driver()
+        self._rejoin_after_leaving(driver, conn, _snapshot(500), ())
+        assert core._unstarted == {"g": 1}
+        driver.close(conn)
+        assert not core._unstarted
+
+    def test_two_streams_abandoned_before_their_first_chunks(self):
+        driver, core, conn = _client_driver()
+        old = _snapshot(payload_bytes=500)
+        for _ in range(2):  # join, and leave before any chunk arrives
+            _marker_join(driver, conn, old)
+            driver.deliver(conn, Ack(driver.invoke("leave_group", "g")))
+        assert core._unstarted == {"g": 2}
+        new = _snapshot(payload_bytes=300)
+        rid = _marker_join(driver, conn, new)
+        for transfer_id in (7, 8, 9):
+            for chunk in _payload_chunks(
+                new if transfer_id == 9 else old, 128, transfer_id
+            ):
+                driver.deliver(conn, chunk)
+        assert _replies(driver)[rid].ok
+        assert core.views["g"].state.get("o").materialized() == b"\xab" * 300
+
+    @pytest.mark.parametrize("chunked", [True, False], ids=["marker", "full"])
+    def test_a_new_join_ends_a_stream_whose_leave_ack_came_late(self, chunked):
+        # The leave timed out, so its Ack is ignored; the server taking
+        # a new join shows that the membership ended all the same.
+        driver, core, conn = _client_driver()
+        old = _snapshot(payload_bytes=500)
+        first = _marker_join(driver, conn, old)
+        old_chunks = _payload_chunks(old, 128, transfer_id=7)
+        driver.deliver(conn, old_chunks[0])
+        leave = driver.invoke("leave_group", "g")
+        driver.fire_timer(f"req-{leave}")
+        driver.deliver(conn, Ack(leave))
+        assert first in core._pending
+        new = _snapshot(payload_bytes=300)
+        if chunked:
+            second = _marker_join(driver, conn, new)
+            new_chunks = _payload_chunks(new, 128, transfer_id=8)
+        else:
+            second = driver.invoke("join_group", "g")
+            driver.deliver(conn, JoinReply(second, new, ()))
+            new_chunks = []
+        assert isinstance(_replies(driver)[first].error, NotAMemberError)
+        for chunk in old_chunks[1:] + new_chunks:
+            driver.deliver(conn, chunk)
+        assert _replies(driver)[second].ok
+        assert core.views["g"].state.get("o").materialized() == b"\xab" * 300
+
+    @pytest.mark.parametrize("flags", [0, SNAP_CHUNKED], ids=["full", "marker"])
+    def test_a_join_reply_after_the_join_timed_out_is_ignored(self, flags):
+        driver, core, conn = _client_driver()
+        rid = driver.invoke("join_group", "g")
+        driver.fire_timer(f"req-{rid}")
+        assert isinstance(_replies(driver)[rid].error, RequestTimeoutError)
+        driver.clear()
+        snapshot = _snapshot(payload_bytes=500)
+        if flags:
+            snapshot = chunk_marker(snapshot)
+        assert driver.deliver(conn, JoinReply(rid, snapshot, ())) == []
+        assert "g" not in core.views and not core._streams
+
+    def test_a_delivery_from_before_a_leave_is_not_replayed(self):
+        # Deliveries ride the bulk lane, so the leave's Ack and the next
+        # join's marker can overtake one; the new snapshot already has it.
+        driver, core, conn = _client_driver()
+        rid = driver.invoke("join_group", "g")
+        driver.deliver(conn, JoinReply(rid, _snapshot(payload_bytes=300), ()))
+        driver.deliver(conn, Ack(driver.invoke("leave_group", "g")))
+        record = UpdateRecord(1, UpdateKind.UPDATE, "o", b"+", "other", 0.0)
+        replica = StateSnapshot(
+            "g", 1, (ObjectState("o", b"\xab" * 300 + b"+"),), (), 2
+        )
+        again = _marker_join(driver, conn, replica)
+        driver.deliver(conn, Delivery("g", record))
+        for chunk in _payload_chunks(replica, 128):
+            driver.deliver(conn, chunk)
+        assert _replies(driver)[again].ok
+        view = core.views["g"]
+        assert view.state.get("o").materialized() == b"\xab" * 300 + b"+"
+        assert view.next_seqno == 2
+
+    def test_pipelined_join_leave_join_completes_the_second_join(self):
+        # The leave's Ack arrives after the second join went out: it ends
+        # only a join whose stream had started, not the second one.
+        driver, core, conn = _client_driver()
+        first = _snapshot(payload_bytes=500)
+        _marker_join(driver, conn, first)
+        for chunk in _payload_chunks(first, 128, transfer_id=7):
+            driver.deliver(conn, chunk)
+        leave = driver.invoke("leave_group", "g")
+        second = driver.invoke(
+            "join_group", "g", MemberRole.PRINCIPAL,
+            TransferSpec(chunked=True), False,
+        )
+        driver.deliver(conn, Ack(leave))
+        assert second in core._pending and "g" not in core.views
+        replica = _snapshot(payload_bytes=300)
+        driver.deliver(conn, JoinReply(second, chunk_marker(replica), ()))
+        for chunk in _payload_chunks(replica, 128, transfer_id=8):
+            driver.deliver(conn, chunk)
+        assert _replies(driver)[second].ok
+        assert core.views["g"].state.get("o").materialized() == b"\xab" * 300
+
+
+class TestClientRestartsAJoin:
+    def _reconnect(self, driver):
+        driver.fire_timer("reconnect")
+        conn = driver.connect(key="server")
+        driver.clear()
+        driver.deliver(conn, HelloReply(server_id="s1"))
+        return conn
+
+    def test_a_refused_resume_restarts_only_its_own_join(self):
+        driver, core, conn = _client_driver()
+        rids = {}
+        for group, transfer_id in (("g", 7), ("h", 8)):
+            snapshot = StateSnapshot(
+                group, 0, (ObjectState("o", bytes(500)),), (), 1
+            )
+            rids[group] = driver.invoke(
+                "join_group", group, MemberRole.PRINCIPAL,
+                TransferSpec(chunked=True), False,
+            )
+            driver.deliver(conn, JoinReply(
+                rids[group], chunk_marker(snapshot), ()
+            ))
+            payload = frames.payload_of(snapshot)
+            driver.deliver(conn, StateChunk(
+                group, transfer_id, 0, payload[:128], len(payload), False
+            ))
+        driver.close(conn)
+        conn2 = self._reconnect(driver)
+        resumes = {m.group: m for m in driver.sent_to(conn2)}
+        assert set(resumes) == {"g", "h"}
+        driver.clear()
+        driver.deliver(conn2, ErrorReply(
+            resumes["h"].request_id, "corona.stale_state", ""
+        ))
+        (join,) = driver.sent_to(conn2)
+        assert isinstance(join, JoinGroupRequest) and join.group == "h"
+        assert join.request_id == rids["h"]
+        assert core._streams["g"].resume_request_id == resumes["g"].request_id
+        assert "h" not in core._streams
+
+    def test_a_stream_with_no_chunk_yet_restarts_on_reconnect(self):
+        driver, core, conn = _client_driver()
+        rid = _marker_join(driver, conn, _snapshot(payload_bytes=500))
+        driver.close(conn)
+        conn2 = self._reconnect(driver)
+        (join,) = driver.sent_to(conn2)
+        assert isinstance(join, JoinGroupRequest) and join.request_id == rid
+        assert join.transfer.chunked and not core._streams
+
+    @pytest.mark.parametrize("late", ["marker", "error"])
+    def test_a_stalled_resume_restarts_the_join_once(self, late):
+        driver, core, conn = _client_driver()
+        snapshot = _snapshot(payload_bytes=500)
+        rid = _marker_join(driver, conn, snapshot)
+        chunks = _payload_chunks(snapshot, 128, transfer_id=7)
+        driver.deliver(conn, chunks[0])
+        driver.close(conn)
+        conn2 = self._reconnect(driver)
+        (resume,) = driver.sent_to(conn2)
+        driver.clear()
+        driver.fire_timer(f"req-{resume.request_id}")
+        (join,) = driver.sent_to(conn2)
+        assert isinstance(join, JoinGroupRequest) and join.request_id == rid
+        driver.clear()
+        # the server answers the resume before it sees the restart
+        driver.deliver(conn2, JoinReply(
+            resume.request_id, chunk_marker(snapshot), ()
+        ) if late == "marker" else ErrorReply(
+            resume.request_id, "corona.stale_state", ""
+        ))
+        assert resume.request_id not in core._pending
+        assert not any(isinstance(m, JoinGroupRequest)
+                       for m in driver.sent_to(conn2))
+        driver.deliver(conn2, JoinReply(rid, chunk_marker(snapshot), ()))
+        for chunk in chunks[1:] + _payload_chunks(snapshot, 128, transfer_id=8):
+            driver.deliver(conn2, chunk)
+        assert _replies(driver)[rid].ok
+        assert core.views["g"].state.get("o").materialized() == b"\xab" * 500
+        assert not core._pending and not core._unstarted
+
+    def test_a_stream_that_is_not_a_snapshot_is_a_protocol_error(self):
+        driver, core, conn = _client_driver()
+        _marker_join(driver, conn, _snapshot(payload_bytes=500))
+        payload = frames.payload_of(Ack(1))
+        with pytest.raises(ProtocolError):
+            core.on_message(conn, StateChunk(
+                "g", 7, 0, payload, len(payload), True
+            ))
 
 
 # --------------------------------------------------------------------------

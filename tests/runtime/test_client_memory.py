@@ -11,6 +11,7 @@ whether the leave succeeded, failed or timed out.
 
 import asyncio
 import gc
+from collections import Counter
 
 import pytest
 
@@ -37,8 +38,8 @@ def _assert_tables_empty(core):
     """Every per-request table of a ``ClientCore`` is empty."""
     tables = {
         name: getattr(core, name)
-        for name in ("_pending", "_pending_bcast", "_join_params",
-                     "_transfers", "_leaving", "_rejoining")
+        for name in ("_pending", "_pending_bcast", "_joins",
+                     "_streams", "_unstarted", "_leaving")
     }
     assert not any(tables.values()), tables
 
@@ -89,6 +90,38 @@ def test_join_leave_close_cycles_hold_no_replicas(gc_off):
         # a closed client pinned its replica until a collection: on the
         # unfixed core this read 1, 2, 3, ... 20
         assert live == [0] * CYCLES, live
+        await owner.close()
+        await server.stop()
+
+    asyncio.run(asyncio.wait_for(main(), 60))
+
+
+def test_a_closed_client_is_freed_without_the_cycle_collector(gc_off):
+    async def main():
+        server, address, owner = await _serve()
+        for cycle in range(CYCLES):
+            client = await CoronaClient.connect(address, f"joiner-{cycle}")
+            client.on_event("delivery", lambda event: None)
+            await client.join_group(
+                GROUP, transfer=TransferSpec(chunked=cycle % 2 == 1)
+            )
+            await client.leave_group(GROUP)
+            await client.close()
+            del client
+        await asyncio.sleep(0.05)  # closed transports report in
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            leaked = Counter(
+                type(obj).__qualname__ for obj in gc.garbage
+                if type(obj).__module__.startswith("repro")
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        # on a client that kept its host, core and callbacks wired up
+        # this held the whole stack, CoronaClient down to BoundedOutbox
+        assert not leaked, leaked
         await owner.close()
         await server.stop()
 
