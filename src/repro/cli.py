@@ -519,6 +519,47 @@ def benchcheck_main(argv: list[str] | None = None) -> int:
     return 1 if failed else 0
 
 
+def topology_report(host) -> dict:
+    """Snapshot of the elastic topology for ``repro topology``.
+
+    *host* is any :class:`~repro.runtime.sharding.ShardFront` (``router``,
+    ``workers``, ``sessions``, ``dispatch_stats``)."""
+    import dataclasses
+
+    router = host.router
+    shards = {}
+    for worker in host.workers:
+        stats = worker.interpreter.stats
+        shards[worker.index] = {
+            "groups": list(worker.owned_groups),
+            "group_count": len(worker.owned_groups),
+            "stats": dataclasses.asdict(stats),
+        }
+    migrations = [
+        {
+            "group": r.group,
+            "src": r.src,
+            "dst": r.dst,
+            "epoch": r.epoch,
+            "outcome": r.outcome,
+            "freeze_window": r.freeze_window,
+            "buffered": r.buffered,
+            "bytes": r.bytes,
+        }
+        for r in host.sessions.migration_log
+    ]
+    return {
+        "shards": router.shards,
+        "leases": dict(sorted(router.pins().items())),
+        "epochs": dict(sorted(router.epochs().items())),
+        "drained": sorted(router.drained()),
+        "in_flight": host.sessions.migrations(),
+        "per_shard": shards,
+        "migrations": migrations,
+        "total": dataclasses.asdict(host.dispatch_stats),
+    }
+
+
 def topology_main(argv: list[str] | None = None) -> int:
     """Entry point of ``repro topology``: inspect the elastic shard
     topology of a seeded sharded deployment (leases, epochs, per-shard
@@ -540,7 +581,6 @@ def topology_main(argv: list[str] | None = None) -> int:
     import json
 
     from repro.bench.report import format_table
-    from repro.runtime.topology import topology_report
     from repro.sim.harness import CoronaWorld
 
     if args.shards < 2:

@@ -235,6 +235,9 @@ class GroupView:
     name: GroupId
     state: SharedState = field(default_factory=SharedState)
     next_seqno: SeqNo = 0
+    #: ``next_seqno`` of the snapshot the replica was last installed or
+    #: resynced from: a delivery below it is already in the state.
+    snapshot_seqno: SeqNo = 0
     members: tuple[MemberInfo, ...] = ()
     fifo: FifoChecker = field(default_factory=FifoChecker)
     #: Parameters of the original join, reused for automatic rejoins.
@@ -248,7 +251,7 @@ class GroupView:
         self.state = SharedState(snapshot.objects, base_seqno=snapshot.base_seqno)
         for record in snapshot.updates:
             self.state.apply(record)
-        self.next_seqno = snapshot.next_seqno
+        self.next_seqno = self.snapshot_seqno = snapshot.next_seqno
 
     def resync(self, snapshot: StateSnapshot) -> None:
         """Merge a reconnection snapshot into the existing replica.
@@ -268,7 +271,7 @@ class GroupView:
                     snapshot.base_seqno, UpdateKind.STATE,
                     obj.object_id, obj.data, "", 0.0,
                 ))
-            self.next_seqno = snapshot.next_seqno
+            self.next_seqno = self.snapshot_seqno = snapshot.next_seqno
             self.pending_exclusive.clear()
             self.fifo = FifoChecker()
         elif (
@@ -277,7 +280,7 @@ class GroupView:
         ):
             for record in snapshot.updates:
                 self.state.apply(record)
-            self.next_seqno = snapshot.next_seqno
+            self.next_seqno = self.snapshot_seqno = snapshot.next_seqno
             self.pending_exclusive.clear()
         else:
             self.apply_snapshot(snapshot)
@@ -287,8 +290,14 @@ class GroupView:
     def apply_delivery(
         self, record: UpdateRecord, own_id: str,
         skipped: tuple[SeqNo, ...] = (),
-    ) -> None:
+    ) -> bool:
+        """Apply one delivered *record*; False when the snapshot the
+        replica came from already holds it (a delivery of an earlier
+        membership that a leave's ``Ack`` and a new ``JoinReply``
+        overtook on the control lane)."""
         if record.seqno < self.next_seqno:
+            if record.seqno < self.snapshot_seqno:
+                return False
             raise ProtocolError(
                 f"duplicate delivery seqno {record.seqno} in {self.name!r}"
             )
@@ -314,6 +323,7 @@ class GroupView:
         self.fifo.observe(record.sender, record.seqno)
         self.state.apply(record)
         self.next_seqno = record.seqno + 1
+        return True
 
 
 class ClientCore(ProtocolCore):
@@ -634,11 +644,11 @@ class ClientCore(ProtocolCore):
             # The record is replayed into the replica after the final
             # chunk decodes.
             join.buffered.append((message.update, message.skipped))
-        elif view is not None:
-            view.apply_delivery(
-                message.update, own_id=self.config.client_id,
-                skipped=message.skipped,
-            )
+        elif view is not None and not view.apply_delivery(
+            message.update, own_id=self.config.client_id,
+            skipped=message.skipped,
+        ):
+            return  # already in the snapshot the replica came from
         self.emit(Notify(NOTIFY_DELIVERY, DeliveryEvent(message.group, message.update)))
 
     # ------------------------------------------------------------------

@@ -35,12 +35,13 @@ locks, reduction, and connection closes flush the open window before
 they run — they must observe fully committed state (see
 ``ServerCore.handle_message`` / ``GroupRuntime.broadcast``).
 
-Backends: the asyncio shard worker drains its mailbox greedily into a
-window and runs execution on a real thread pool
-(:class:`ThreadPoolEngine`); the simulator executes inline but charges
-each execution on a modeled CPU lane chosen by :func:`stable_lane`, so
-windows, conflicts, and lane assignment are deterministic and identical
-run to run (``repro/sim/shard.py``).
+Backends: only the simulator opens windows.  It executes inline but
+charges each execution on a modeled CPU lane chosen by
+:func:`stable_lane`, so windows, conflicts, and lane assignment are
+deterministic and identical run to run (``repro/sim/shard.py``).  The
+asyncio hosts run every shard on one loop, so they drain serially and
+never open one.  :class:`ThreadPoolEngine` runs execution on a real
+thread pool for a caller that brackets a bare core's batches itself.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class ExecutionEngine:
 
 
 class ThreadPoolEngine(ExecutionEngine):
-    """Real concurrent execution on a thread pool (asyncio backend).
+    """Real concurrent execution on a thread pool (no host wires it).
 
     Frame preparation is pure CPU work on immutable records, so tasks
     need no locks; the commit loop joins each future in seqno order.

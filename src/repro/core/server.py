@@ -141,7 +141,9 @@ class ServerConfig:
     authenticator: "Authenticator" = field(default_factory=lambda: _allow_any())
     #: Execution lanes for dependency-aware optimistic parallel execution
     #: inside each group (:mod:`repro.core.scheduler`).  0 = strictly
-    #: serial, the historical behaviour and the default.
+    #: serial, the historical behaviour and the default.  Only the
+    #: simulator's shard workers open speculation windows; on the asyncio
+    #: hosts (flat and sharded) every command runs on the serial path.
     exec_lanes: int = 0
     #: Commands per speculation window before the owning worker flushes.
     exec_window: int = 64

@@ -1,8 +1,8 @@
 """Group-sharded service: the asyncio driver.
 
 The sharding design itself — router, front sessions core, worker item
-protocol, migration, restart, the control loop — is backend-free and
-lives in :mod:`repro.runtime.sharding`.  This module only puts it on the
+protocol, migration, restart — is backend-free and lives in
+:mod:`repro.runtime.sharding`.  This module only puts it on the
 running asyncio loop, ONE loop for the front and every shard:
 
 * :class:`ShardedHost` is the front: an
@@ -13,7 +13,10 @@ running asyncio loop, ONE loop for the front and every shard:
   callback per loop tick, with its own core, interpreter and store.
 
 Sharding partitions state, WAL directories and the units of failure and
-migration; it adds no CPU parallelism (one loop, one GIL).  A
+migration; it adds no CPU parallelism (one loop, one GIL).  So a worker
+drains its mailbox serially, one item at a time: its core's optimistic
+scheduler (``exec_lanes``) never opens a window here, as on the flat
+:class:`~repro.runtime.host.AsyncioHost`.  A
 process-per-shard driver, the way to real cores, would be a third thin
 driver behind the same seam; the simulator's is :mod:`repro.sim.shard`.
 """
@@ -28,7 +31,6 @@ from typing import Any, Callable, Iterable
 
 from repro.core.clock import Clock, MonotonicClock
 from repro.core.interpreter import Middleware
-from repro.core.scheduler import ThreadPoolEngine
 from repro.core.server import ServerConfig
 from repro.net.transport import Transport
 from repro.runtime.host import FLUSH_INTERVAL, AsyncioHost
@@ -71,12 +73,6 @@ class _ShardWorker(ShardWorkerBase):
         race_recorder: Any = None,
     ) -> None:
         super().__init__(host, index, config, clock, recovered, store, race_recorder)
-        scheduler = self.core.scheduler
-        if scheduler is not None:
-            # execution runs on a real thread pool
-            scheduler.engine = ThreadPoolEngine(
-                config.exec_lanes, name=f"corona-exec-{index}"
-            )
         self._mailbox: deque = deque()
         self._drain_scheduled = False
         self._stopped = False
@@ -98,8 +94,6 @@ class _ShardWorker(ShardWorkerBase):
         self._cancel_timers()
         if self._flush_timer is not None:
             self._flush_timer.cancel()
-        if self.core.scheduler is not None:
-            self.core.scheduler.engine.close()
         if self.store is not None:
             self.store.flush()
             self.store.close()
@@ -123,37 +117,15 @@ class _ShardWorker(ShardWorkerBase):
             asyncio.get_running_loop().call_soon(self._drain)
 
     def _drain(self) -> None:
-        """Process everything queued, FIFO.  With a scheduler attached
-        the backlog runs in speculation windows of up to ``exec_window``
-        items — that batch is what the optimistic engine parallelizes;
-        a batch of one never opens a window and stays on the serial
-        fast path."""
+        """Process everything queued, FIFO."""
         self._drain_scheduled = False
         mailbox = self._mailbox
-        serial = self.core.scheduler is None
         while mailbox:
-            size = 1 if serial else min(self.core.config.exec_window, len(mailbox))
-            if size > 1:
-                self.core.begin_batch()
-            for _ in range(size):
-                item = mailbox.popleft()
-                try:
-                    self.process_item(self._unwrap(item))
-                except Exception:
-                    logger.exception(
-                        "shard %d failed processing %r", self.index, item
-                    )
-            if size > 1:
-                try:
-                    self.interpreter.execute(self.core.end_batch())
-                except Exception:
-                    logger.exception(
-                        "shard %d failed committing a batch", self.index
-                    )
-
-    def queue_depth(self) -> int:
-        """Mailbox backlog (the topology controller's load gauge)."""
-        return len(self._mailbox)
+            item = mailbox.popleft()
+            try:
+                self.process_item(self._unwrap(item))
+            except Exception:
+                logger.exception("shard %d failed processing %r", self.index, item)
 
     def call_later(
         self, delay: float, fn: Callable[..., None], *args: Any
@@ -204,7 +176,6 @@ class ShardedHost(ShardFront, AsyncioHost):
         if not self.alive:
             return
         self.alive = False
-        self.stop_controller()
         await super().stop()
         # each worker flushes and closes its own store inside stop():
         # storage handles never leave their shard

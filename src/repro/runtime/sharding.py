@@ -13,8 +13,9 @@ coordination logic and nothing for a parity test to keep in sync:
   the sessions core and the workers, opens and recovers each shard's
   :class:`~repro.storage.GroupStore` rooted at ``<store_root>/shard<i>``
   (WAL segments never cross shards), and implements posting, the front
-  half of every worker relay, migration, drain, shard restart and the
-  autoscaling control loop.
+  half of every worker relay, migration and shard restart.  Nothing
+  moves a group on its own: every shard runs on the front's one loop,
+  so there is no per-shard CPU for an autoscaler to balance.
 * :class:`ShardSessions` is the front's protocol core — the
   connection/session half of :class:`~repro.core.server.ServerCore`
   (Hello handshake, auth, stale connections, Ping, ListGroups) with
@@ -77,13 +78,6 @@ from repro.runtime.migration import (
     MigrationRecord,
     restore_group,
     snapshot_group,
-)
-from repro.runtime.topology import (
-    MigrateGroup,
-    RestartShard,
-    TopologyConfig,
-    TopologyController,
-    sample_workers,
 )
 from repro.storage.store import GroupStore, RecoveredGroup
 from repro.wire.messages import (
@@ -661,7 +655,7 @@ class ShardWorkerBase(HostBackend):
         #: for them from its stash until the commit lands).
         self._importing: dict[str, int] = {}
         #: Immutable snapshot of served group names, republished after
-        #: every item so the front-side topology controller can sample
+        #: every item so the front (``repro topology``) can read
         #: placement without reaching into the live core.
         self.owned_groups: tuple[str, ...] = self.recovered_groups
 
@@ -987,7 +981,7 @@ class ShardFront:
 
     ``alive``
         False once the host stopped or crashed (worker sends drop,
-        relays and controller ticks become no-ops);
+        relays become no-ops);
     ``worker_class``
         the driver's :class:`ShardWorkerBase` subclass.
 
@@ -1020,7 +1014,6 @@ class ShardFront:
         self._store_root = Path(store_root) if store_root is not None else None
         self.workers: list[ShardWorkerBase] = []
         self._retired: list[DispatchStats] = []
-        self._controller_timer: Any = None
 
     # -- workers -------------------------------------------------------------
 
@@ -1103,13 +1096,6 @@ class ShardFront:
 
     # -- shard management ----------------------------------------------------
 
-    def drain_shard(self, index: int) -> None:
-        """Divert NEW group placements away from shard *index*."""
-        self.router.drain(index)
-
-    def undrain_shard(self, index: int) -> None:
-        self.router.undrain(index)
-
     def migrate_group(self, group: GroupId, dst: int) -> None:
         """Begin a live migration of *group* onto shard *dst* (call in
         front context).  The group freezes briefly while its state
@@ -1136,46 +1122,3 @@ class ShardFront:
         self.sessions.abort_migrations_for_shard(index)
         self.interpreter.execute(self.sessions.drain())
         return worker
-
-    # -- autoscaling control loop ---------------------------------------------
-
-    def start_controller(
-        self, config: TopologyConfig | None = None, ticks: int | None = None
-    ) -> TopologyController:
-        """Run a :class:`~repro.runtime.topology.TopologyController` in
-        front context: sample per-shard load every ``sample_interval``
-        seconds and apply the actions it decides (split hot shards via
-        migration, merge idle ones, restart wedged workers).  *ticks*
-        bounds the number of samples (None = until the host stops)."""
-        controller = TopologyController(config or TopologyConfig())
-
-        def arm(left: int | None) -> None:
-            if left is None or left > 0:
-                self._controller_timer = self.call_later(
-                    controller.config.sample_interval, tick, left
-                )
-
-        def tick(left: int | None) -> None:
-            if self.alive:
-                actions = controller.observe(sample_workers(self.workers))
-                self.apply_topology_actions(actions)
-                arm(None if left is None else left - 1)
-
-        arm(ticks)
-        return controller
-
-    def stop_controller(self) -> None:
-        if self._controller_timer is not None:
-            self._controller_timer.cancel()
-            self._controller_timer = None
-
-    def apply_topology_actions(self, actions: Iterable[Any]) -> None:
-        """Apply controller decisions (front context only)."""
-        for action in actions:
-            if isinstance(action, MigrateGroup):
-                try:
-                    self.migrate_group(action.group, action.dst)
-                except ValueError:
-                    pass  # raced a concurrent migration/drain; next cycle
-            elif isinstance(action, RestartShard):
-                self.restart_shard(action.shard)

@@ -78,9 +78,6 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
         #: window just flushed; placement floors fan-out charges on it.
         self._exec_done: dict[tuple, float] = {}
         self._conflicted: set[tuple] = set()
-        #: Mailbox backlog gauge for the topology controller: the front
-        #: increments at post, ``process`` decrements on delivery.
-        self.queued = 0
         #: Set by :meth:`stop` (shard restart / host crash): events
         #: already scheduled against this worker object become no-ops,
         #: the modeled version of a crashed shard's mailbox draining into
@@ -99,12 +96,10 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
         # bound to this worker object: items posted before a restart die
         # with the old worker (its ``closed`` flag), like a crashed
         # shard's mailbox.
-        self.queued += 1
         self._host.kernel.schedule(0.0, self.process, item)
 
     def process(self, item: tuple) -> None:
         """Handle one mailbox item on this shard's CPU lane."""
-        self.queued = max(0, self.queued - 1)
         if self.closed or not self._host.alive:
             return
         item = self._unwrap(item)
@@ -124,8 +119,8 @@ class _SimShardWorker(SimCosts, ShardWorkerBase):
                 and self._sched.active
                 and self._sched.pending >= self.core.config.exec_window
             ):
-                # force-flush a full window right away, the analogue of
-                # the asyncio worker's capped mailbox drain
+                # force-flush a full window right away: exec_window
+                # caps the commands one window speculates on
                 self._flush_window(self._generation)
         finally:
             self._host._lane = prev
@@ -364,14 +359,6 @@ class ShardedSimHost(ShardFront, SimHost):
         # the sessions core runs on lane 0
         self.set_core(self.sessions)
         self.start_workers()
-
-    # -- ShardFront hooks (alive is SimHost's) ------------------------------
-
-    def start_controller(self, config: Any = None, ticks: int = 8) -> Any:
-        """As :meth:`ShardFront.start_controller`, but bounded by
-        default — an open-ended repeating event would keep
-        ``kernel.run()`` from ever draining."""
-        return super().start_controller(config, ticks)
 
     # -- failure ----------------------------------------------------------
 

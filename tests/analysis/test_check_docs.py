@@ -8,7 +8,6 @@ documentation.
 """
 
 import importlib.util
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -41,12 +40,10 @@ def _flow_exports():
 def _topology_exports():
     from repro.core.errors import StaleEpochError
     from repro.runtime.migration import OUTCOMES
-    from repro.runtime.topology import TopologyConfig
 
-    # knobs + outcomes + 2 phases + code + counter + rule + helper
+    # outcomes + 2 phases + code + counter + rule + helper
     return (
-        [f.name for f in fields(TopologyConfig)]
-        + list(OUTCOMES)
+        list(OUTCOMES)
         + ["freezing", "installing"]
         + [StaleEpochError.code, "stale_epoch_rejects"]
         + ["SHARD004", "strip_migration_edges"]
@@ -84,7 +81,7 @@ def _effect_exports():
 #: gate -> (exports the gate must demand, a name to strip from the doc)
 EXPECTED = {
     "flow": (_flow_exports, "coalesce_watermark"),
-    "topology": (_topology_exports, "hot_queue_depth"),
+    "topology": (_topology_exports, "stale_epoch_rejects"),
     "transfer": (_transfer_exports, "resume_ttl"),
     "effects": (_effect_exports, "SendFanout"),
 }

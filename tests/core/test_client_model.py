@@ -15,10 +15,11 @@ request timeouts.  After every step:
 
 The server queues its frames on two FIFO lanes (docs/flow-control.md
 §2.1).  A control frame may overtake chunks queued before it, as on a
-parked connection, but not deliveries: a ``Delivery`` of a group the
-client left, overtaken by the leave's ``Ack`` and a new join's reply,
-would reach the new replica as a duplicate, which this model leaves out
-(see CHANGES.md).
+parked connection, and the deliveries of a membership a leave ended:
+the leave's ``Ack`` and a new join's reply may reach the client ahead
+of them, and the new replica already holds what they carry.  It never
+overtakes a live membership's delivery, nor one from before the group
+was deleted and created again.
 """
 
 import itertools
@@ -77,6 +78,10 @@ class _ScriptedServer:
         self._recreate(bytes(range(200)))
 
     def _recreate(self, data: bytes) -> None:
+        #: Deliveries queued before this mark belong to a deleted group.
+        self.created_at = next(self._order)
+        #: Deliveries queued before this mark belong to a left membership.
+        self.left_at = self.created_at
         self.data = data
         self.records: list[UpdateRecord] = []
         self.next_seqno = 1
@@ -133,6 +138,7 @@ class _ScriptedServer:
                 return
             self.member, self.stream = False, None
             self._queue(self.control, Ack(message.request_id))
+            self.left_at = next(self._order)
         elif isinstance(message, ChunkAck):
             if (self.stream is not None and message.transfer_id == self.stream[0]
                     and message.offset == len(self.stream[2])):
@@ -183,13 +189,15 @@ class _ScriptedServer:
 
     def next_frame(self, overtake: bool):
         """The next frame the client reads.  Bulk never overtakes an
-        earlier control frame; control overtakes queued chunks when
-        *overtake* is set, and never a queued delivery."""
+        earlier control frame; control overtakes queued chunks and the
+        deliveries of a left membership when *overtake* is set, and never
+        another queued delivery."""
         control, bulk = self.control, self.bulk
         if control and (
             not bulk or control[0][0] < bulk[0][0]
             or (overtake and not any(
                 isinstance(m, Delivery) and order < control[0][0]
+                and not self.created_at < order < self.left_at
                 for order, m in bulk
             ))
         ):

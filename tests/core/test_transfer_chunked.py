@@ -979,6 +979,33 @@ class TestClientJoinEndsOnce:
         assert view.state.get("o").materialized() == b"\xab" * 300 + b"+"
         assert view.next_seqno == 2
 
+    def test_a_delivery_from_before_a_leave_is_dropped_after_a_full_rejoin(self):
+        # The same overtaking, with a monolithic reply: the replica is
+        # built before the stale delivery arrives, and already holds it.
+        driver, core, conn = _client_driver()
+        rid = driver.invoke("join_group", "g")
+        driver.deliver(conn, JoinReply(rid, _snapshot(payload_bytes=300), ()))
+        driver.deliver(conn, Ack(driver.invoke("leave_group", "g")))
+        record = UpdateRecord(1, UpdateKind.UPDATE, "o", b"+", "other", 0.0)
+        replica = StateSnapshot(
+            "g", 1, (ObjectState("o", b"\xab" * 300 + b"+"),), (), 2
+        )
+        again = driver.invoke("join_group", "g")
+        driver.deliver(conn, JoinReply(again, replica, ()))
+        assert _replies(driver)[again].ok
+        driver.clear()
+        driver.deliver(conn, Delivery("g", record))
+        assert driver.notifications("delivery") == []
+        view = core.views["g"]
+        assert view.state.get("o").materialized() == b"\xab" * 300 + b"+"
+        assert view.next_seqno == 2
+        # a later delivery applies as usual; a repeat of it still raises
+        later = UpdateRecord(2, UpdateKind.UPDATE, "o", b"!", "other", 0.0)
+        driver.deliver(conn, Delivery("g", later))
+        assert view.next_seqno == 3
+        with pytest.raises(ProtocolError, match="duplicate delivery seqno 2"):
+            driver.deliver(conn, Delivery("g", later))
+
     def test_pipelined_join_leave_join_completes_the_second_join(self):
         # The leave's Ack arrives after the second join went out: it ends
         # only a join whose stream had started, not the second one.

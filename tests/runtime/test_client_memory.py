@@ -7,6 +7,10 @@ that runs with ``gc.disable()`` like the benchmark load generator.  The
 core therefore drops a group's ``GroupView`` as soon as the server acks
 the leave, and every request table is empty once a request has ended,
 whether the leave succeeded, failed or timed out.
+
+The server side holds the same line: once every client has gone, a
+flat and a sharded server keep no per-connection entry in any table,
+and nothing they made is left for the cycle collector.
 """
 
 import asyncio
@@ -56,13 +60,48 @@ def gc_off():
             gc.enable()
 
 
-async def _serve():
-    server = CoronaServer()
+async def _serve(shards=1):
+    server = CoronaServer(shards=shards)
     address = await server.start("127.0.0.1", 0)
     owner = await CoronaClient.connect(address, "owner")
     await owner.create_group(GROUP, initial_state=(ObjectState("o", STATE),))
     await owner.join_group(GROUP)  # keeps the group alive between joiners
     return server, address, owner
+
+
+def _repro_garbage():
+    """``repro`` objects only the cycle collector could free, by type."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return Counter(
+            type(obj).__qualname__ for obj in gc.garbage
+            if type(obj).__module__.startswith("repro")
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def _connection_tables(host):
+    """Every per-connection table of a server host, by name: the host's
+    own, its protocol core's, and on a sharded host each shard's."""
+    tables = {
+        f"host.{name}": getattr(host, name)
+        for name in ("_conns", "_outboxes", "_dirty", "_parked", "_kick_timers")
+    }
+    cores = {"core": host.core}
+    for worker in getattr(host, "workers", ()):
+        tables[f"shard{worker.index}.conns"] = worker.conns
+        cores[f"shard{worker.index}.core"] = worker.core
+    for label, core in cores.items():
+        names = ["_conn_client", "_client_conn", "_conn_addr"]
+        if hasattr(core, "_links"):  # a ServerCore
+            names += ["_links", "_transfers", "_client_groups"]
+        else:  # the sharded front's ShardSessions
+            names += ["_intro", "_gathers", "_migrations"]
+        tables.update((f"{label}.{name}", getattr(core, name)) for name in names)
+    return tables
 
 
 def test_join_leave_close_cycles_hold_no_replicas(gc_off):
@@ -109,21 +148,36 @@ def test_a_closed_client_is_freed_without_the_cycle_collector(gc_off):
             await client.close()
             del client
         await asyncio.sleep(0.05)  # closed transports report in
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            gc.collect()
-            leaked = Counter(
-                type(obj).__qualname__ for obj in gc.garbage
-                if type(obj).__module__.startswith("repro")
-            )
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
+        leaked = _repro_garbage()
         # on a client that kept its host, core and callbacks wired up
         # this held the whole stack, CoronaClient down to BoundedOutbox
         assert not leaked, leaked
         await owner.close()
         await server.stop()
+
+    asyncio.run(asyncio.wait_for(main(), 60))
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_server_forgets_every_closed_connection(gc_off, shards):
+    async def main():
+        server, address, owner = await _serve(shards)
+        for cycle in range(CYCLES):
+            client = await CoronaClient.connect(address, f"joiner-{cycle}")
+            await client.join_group(
+                GROUP, transfer=TransferSpec(chunked=cycle % 2 == 1)
+            )
+            await client.leave_group(GROUP)
+            await client.close()
+            del client
+        await owner.leave_group(GROUP)
+        await owner.close()
+        await asyncio.sleep(0.05)  # the closes reach the server
+        leaked = _repro_garbage()
+        tables = _connection_tables(server.host)
+        await server.stop()
+        assert not leaked, leaked
+        assert not any(tables.values()), {k: v for k, v in tables.items() if v}
 
     asyncio.run(asyncio.wait_for(main(), 60))
 

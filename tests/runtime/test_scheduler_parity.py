@@ -1,27 +1,21 @@
-"""Optimistic-scheduler parity: serial vs parallel, sim vs asyncio.
+"""Optimistic-scheduler parity: serial vs parallel in the simulator.
 
 The dependency-aware scheduler (``repro.core.scheduler``) promises that
 enabling ``exec_lanes`` changes *when* work happens, never *what* the
 service outputs.  One single-sender blast (overlapping object ids, so
-real conflicts occur) is driven through three configurations:
+real conflicts occur) is driven through two configurations:
 
-* sim, ``exec_lanes=0`` — the strict-serial reference;
-* sim, ``exec_lanes=4`` — optimistic windows on modeled CPU lanes;
-* asyncio, ``exec_lanes=4`` — real thread-pool execution, pipelined
-  requests over TCP.
+* ``exec_lanes=0`` — the strict-serial reference;
+* ``exec_lanes=4`` — optimistic windows on modeled CPU lanes.
 
 Every member's delivery stream and the recovered per-shard storage must
-be byte-identical across all three.  A fixed core clock pins the
-timestamps that land in records and on disk, and the single sender pins
-the arrival (and therefore sequencing) order on every backend.
+be byte-identical across both.  A fixed core clock pins the timestamps
+that land in records and on disk, and the single sender pins the
+arrival (and therefore sequencing) order.  The asyncio hosts never open
+a speculation window, so only the simulator has a parallel side.
 """
 
-import asyncio
-
 from repro.core.server import ServerConfig
-from repro.net.tcp import TcpTransport
-from repro.runtime.client import CoronaClient
-from repro.runtime.shard import ShardedHost
 from repro.sim.harness import CoronaWorld
 from repro.storage.store import GroupStore
 
@@ -87,38 +81,6 @@ def _drive_sim(root, exec_lanes):
     return streams, stats
 
 
-def _drive_asyncio(root):
-    async def main():
-        host = ShardedHost(
-            ServerConfig(server_id="server", exec_lanes=LANES),
-            TcpTransport(),
-            shards=1,
-            store_root=root,
-            core_clock=FixedClock(),
-        )
-        address = await host.listen(("127.0.0.1", 0))
-        alice = await CoronaClient.connect(address, "alice")
-        bob = await CoronaClient.connect(address, "bob")
-        await alice.create_group("hot", True)
-        view = await alice.join_group("hot")
-        await bob.join_group("hot")
-        # pipelined: every request is written before any ack returns, so
-        # the worker's mailbox drain forms real multi-command windows
-        await asyncio.gather(*[
-            alice.bcast_update("hot", _object_id(i), bytes([i]))
-            for i in range(N)
-        ])
-        await asyncio.sleep(0.3)  # drain fan-out + async WAL appends
-        stats = host.dispatch_stats
-        state = view.state.materialize_all()
-        await alice.close()
-        await bob.close()
-        await host.stop()
-        return state, stats
-
-    return asyncio.run(main())
-
-
 class TestSchedulerParity:
     def test_parallel_sim_output_equals_serial(self, tmp_path):
         serial_streams, serial_stats = _drive_sim(tmp_path / "s", 0)
@@ -142,20 +104,3 @@ class TestSchedulerParity:
         second = _drive_sim(tmp_path / "two", LANES)
         assert first == second
         assert _recover(tmp_path / "one") == _recover(tmp_path / "two")
-
-    def test_asyncio_parallel_storage_matches_serial_sim(self, tmp_path):
-        _streams, _stats = _drive_sim(tmp_path / "sim", 0)
-        state, stats = _drive_asyncio(tmp_path / "aio")
-
-        # byte-identical WAL: same records, same seqnos, same payloads
-        assert _recover(tmp_path / "aio") == _recover(tmp_path / "sim")
-        # the client-side mirror converged to the same final state
-        sim_final = {}
-        for seqno, object_id, data in _streams[0]:
-            sim_final.setdefault(object_id, []).append(data)
-        materialized = {s.object_id: s.data for s in state}
-        assert materialized == {
-            oid: b"".join(parts) for oid, parts in sim_final.items()
-        }
-        # whatever windows real timing formed, invariants hold
-        assert stats.reexecutions == stats.conflicts

@@ -21,6 +21,7 @@ from repro.net.memory import MemoryNetwork
 from repro.runtime.client import CoronaClient
 from repro.runtime.host import FLUSH_INTERVAL
 from repro.runtime.shard import ShardedHost
+from repro.sim.harness import CoronaWorld
 from repro.storage.store import GroupStore
 from repro.wire import codec
 from repro.wire.messages import (
@@ -66,7 +67,7 @@ def _payloads(wal_records):
 def count_drains(worker):
     calls = []
     drain = worker._drain  # bound before the wrapper shadows it
-    worker._drain = lambda: (calls.append(worker.queue_depth()), drain())
+    worker._drain = lambda: (calls.append(len(worker._mailbox)), drain())
     return calls
 
 
@@ -100,7 +101,7 @@ class TestOneDrainPerTick:
             host._on_messages(
                 cid, [GetMembershipRequest(10 + i, "g") for i in range(n)]
             )
-            assert worker.queue_depth() == n and drains == []
+            assert len(worker._mailbox) == n and drains == []
             await ticks()
             assert drains == [n], "one callback found the whole chunk queued"
             replies = [m for batch in conn.batches for m in batch]
@@ -182,7 +183,7 @@ class TestStopDrainsFirst:
         host._on_messages(
             cid, [BcastUpdateRequest(10 + i, "g", "o", b"%d" % i) for i in range(5)]
         )
-        assert worker.queue_depth() == 5  # queued, no tick has run yet
+        assert len(worker._mailbox) == 5  # queued, no tick has run yet
         return host, index, worker, log
 
     @staticmethod
@@ -203,7 +204,7 @@ class TestStopDrainsFirst:
             # nothing is left for it, and later posts are ignored
             worker.post(("list", 0, 0))
             await ticks()
-            assert worker.queue_depth() == 0 and log[-1] == "closed"
+            assert not worker._mailbox and log[-1] == "closed"
 
         run(main())
 
@@ -243,6 +244,31 @@ class TestStopDrainsFirst:
             assert self._recovered(tmp_path, index) == [b"0", b"1", b"2", b"3", b"4"]
 
         run(main())
+
+
+class TestRestartRetiresTheWorker:
+    """``restart_shard`` puts a fresh worker in the slot; the old one
+    takes no more work, under either driver."""
+
+    def test_a_retired_asyncio_worker_ignores_posts(self):
+        async def main():
+            host = await sharded_host()
+            old = host.workers[0]
+            fresh = host.restart_shard(0)
+            assert fresh is host.workers[0] is not old
+            old.post(("list", 0, 0))
+            assert not old._mailbox, "a retired worker ignores posts"
+            await host.stop()
+
+        run(main())
+
+    def test_a_restarted_sim_worker_is_closed(self):
+        world = CoronaWorld()
+        host = world.add_sharded_server(shards=2).host
+        old = host.workers[1]
+        fresh = host.restart_shard(1)
+        world.run()
+        assert fresh is host.workers[1] is not old and old.closed
 
 
 class TestWorkerTimers:

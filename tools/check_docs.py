@@ -8,10 +8,10 @@ wire message cannot ship without its documentation:
 
 ``flow``      docs/flow-control.md — every ``FlowControlConfig`` knob,
               priority lane and typed disconnect reason.
-``topology``  docs/architecture.md §8 — every ``TopologyConfig`` knob,
-              migration outcome and in-flight phase, the fencing error
-              code and its counter, the lease-discipline deepcheck rule
-              and the strip-the-edge helper.
+``topology``  docs/architecture.md §8 — every migration outcome and
+              in-flight phase, the fencing error code and its counter,
+              the lease-discipline deepcheck rule and the strip-the-edge
+              helper.
 ``transfer``  docs/protocol.md §3.5 — every ``TransferConfig`` knob,
               ``TransferPolicy`` value, ``SNAP_*`` flag, the three
               transfer wire messages, and the warm start (a behaviour,
@@ -27,7 +27,6 @@ Exit 1 when any gate fails.
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Callable
 
@@ -55,10 +54,8 @@ def _flow_names() -> list[str]:
 def _topology_names() -> list[str]:
     from repro.core.errors import StaleEpochError
     from repro.runtime.migration import OUTCOMES
-    from repro.runtime.topology import TopologyConfig
 
-    names = [f.name for f in fields(TopologyConfig)]
-    names += list(OUTCOMES) + list(PHASES)
+    names = list(OUTCOMES) + list(PHASES)
     names += [StaleEpochError.code, "stale_epoch_rejects"]
     names += ["SHARD004", "strip_migration_edges"]
     return names
